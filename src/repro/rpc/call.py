@@ -6,8 +6,10 @@ import enum
 import re
 from typing import List, Optional
 
+from repro.io.buffered import BufferedOutputStream, VectorSink
 from repro.io.data_input import DataInput
-from repro.io.data_output import DataOutput
+from repro.io.data_output import DataOutput, DataOutputStream
+from repro.mem.cost import CostLedger
 from repro.io.writable import ObjectWritable, Writable, writable_factory
 
 
@@ -112,6 +114,24 @@ PING_CALL_ID = -1
 #: would have framed on its own.  A server that has decoded one marks
 #: the connection batch-aware and may merge its responses the same way.
 BATCH_CALL_ID = -2
+
+
+def frame_chunks(message, ledger: CostLedger) -> list:
+    """Length-prefix a serialized ``message`` view for a socket stream,
+    through the buffered stream path (Listing 1 lines 10-13), charging
+    its copies.
+
+    Returns the frame as a list of chunks (gather write): the message
+    travels as a zero-copy view and the transport materializes the wire
+    image exactly once.
+    """
+    sink = VectorSink()
+    buffered = BufferedOutputStream(sink, ledger)
+    out = DataOutputStream(buffered, ledger)
+    out.write_int(len(message))
+    buffered.write_bytes(message)
+    out.flush()
+    return sink.chunks
 
 
 @writable_factory

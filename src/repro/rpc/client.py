@@ -1,15 +1,23 @@
-"""Hadoop RPC client: caller threads + a Connection per server address.
+"""Hadoop RPC client: caller threads over one connection pipeline.
 
-The caller thread serializes and sends the call (Listing 1); the
-Connection's receiver thread reads responses and completes the waiting
-callers.  Two connection types implement the two engines:
+Every call takes one path through its :class:`BaseConnection`:
 
-* :class:`SocketConnection` — the default Writable-over-sockets path
-  with its DataOutputBuffer growth, BufferedOutputStream copy, and
-  per-response heap-buffer allocation (Listing 2's client analogue);
-* :class:`IBConnection` — RPCoIB: endpoint bootstrap over the socket
-  address, then JVM-bypass serialization into pooled registered
-  buffers and verbs send/recv / RDMA past the adaptive threshold.
+1. **encode** — :meth:`~BaseConnection.send_call` serializes the call on
+   the caller's own thread (Listing 1): into a ``DataOutputBuffer`` on
+   the sockets engine, straight into a pooled registered buffer on
+   RPCoIB;
+2. **dispatch policy** — by default the caller then transmits its own
+   call; with ``ipc.client.async.enabled`` the window policy of
+   :mod:`repro.rpc.mux` queues it for the connection's shared sender,
+   which flushes the queue as one batch frame;
+3. **transport** — :class:`SocketConnection` length-prefixes frames
+   through the buffered stream path and reads responses into per-frame
+   heap buffers (Listing 2's client analogue); :class:`IBConnection`
+   bootstraps an endpoint over the socket address, then posts verbs
+   sends, eager or RDMA past the adaptive threshold.
+
+One receive loop, the connection thread, pulls frames from the
+transport and settles the plain or server-merged responses they carry.
 
 Failure semantics mirror ``org.apache.hadoop.ipc.Client``: connect
 retry with fixed/exponential backoff (``ipc.client.connect.max.retries``,
@@ -33,9 +41,9 @@ from typing import Dict, List, Optional, Set, Tuple, Type
 
 from repro.calibration import CostModel, NetworkSpec
 from repro.config import Configuration
+from repro.io.buffered import BufferedOutputStream, VectorSink
 from repro.io.data_input import DataInputBuffer
 from repro.io.data_output import DataOutputBuffer, DataOutputStream
-from repro.io.buffered import BufferedOutputStream, VectorSink
 from repro.io.rdma_streams import RDMAInputStream, RDMAOutputStream
 from repro.io.writable import ObjectWritable, Writable
 from repro.mem.cost import CostLedger
@@ -53,6 +61,7 @@ from repro.net.verbs import (
 )
 from repro.obs.trace import NULL_SPAN
 from repro.rpc.call import (
+    BATCH_CALL_ID,
     Call,
     ConnectionHeader,
     Invocation,
@@ -64,6 +73,7 @@ from repro.rpc.call import (
     RpcTimeoutError,
     ServerOverloadedException,
     StandbyException,
+    frame_chunks,
 )
 from repro.rpc.metrics import CallProfile, RpcMetrics
 from repro.rpc.protocol import RpcProtocol
@@ -81,6 +91,10 @@ class IBBootstrapError(ConnectionError):
 #: dotted identifiers, never dunder strings).
 MUX_CONNECTION_KEY = "__mux__"
 
+#: initial capacity of the RPCoIB batch aggregation buffer — warm enough
+#: that a typical window of small calls gathers without growth charges.
+_IB_AGGREGATION_INITIAL = 4096
+
 
 def _backoff_us(interval_us: float, attempt: int, policy: str) -> float:
     """Delay before retry ``attempt`` (1-based) under a backoff policy."""
@@ -91,8 +105,6 @@ def _backoff_us(interval_us: float, attempt: int, policy: str) -> float:
 
 class Client:
     """RPC client bound to one node; shared by all callers on that node."""
-
-    _ids = itertools.count(1)
 
     def __init__(
         self,
@@ -223,6 +235,10 @@ class Client:
                 ),
             )
             call.span = span
+            # A failed attempt backs off and retries on a fresh
+            # connection: (what failed, the exception, its error label).
+            failure = None
+            suggested_us = 0.0
             try:
                 profile_info = yield from conn.send_call(call)
             except QPBrokenError:
@@ -232,59 +248,41 @@ class Client:
                 # outcome below.  The send profile is lost.
                 profile_info = None
             except SocketClosed as exc:
-                # Transport reset mid-send: retry on a fresh connection.
+                # Transport reset mid-send.
                 conn.calls.pop(call.id, None)
-                attempts += 1
-                if attempts > max_retries:
-                    self._fail_call_metrics(span, type(exc).__name__)
-                    raise RetriesExhaustedError(
-                        f"{method}: transport failed after {attempts} attempt(s)",
-                        attempts=attempts, cause=exc,
-                    ) from exc
-                yield self.env.timeout(
-                    _backoff_us(retry_interval_us, attempts, "exponential")
-                )
-                continue
-            try:
-                value = yield call.done
-            except (ServerOverloadedException, RetriableException) as exc:
-                attempts += 1
-                if attempts > max_retries:
-                    self._fail_call_metrics(span, exc.CLASS_NAME)
-                    raise RetriesExhaustedError(
-                        f"{method}: server overloaded after {attempts} attempt(s)",
-                        attempts=attempts, cause=exc,
-                    ) from exc
-                # A RetriableException carries the server's suggested
-                # backoff (priority-aware); otherwise exponential.
-                suggested_us = getattr(exc, "backoff_us", 0.0)
-                yield self.env.timeout(
-                    suggested_us if suggested_us > 0
-                    else _backoff_us(retry_interval_us, attempts, "exponential")
-                )
-                continue
-            except RpcTimeoutError:
-                self._fail_call_metrics(span, "RpcTimeoutError")
-                raise
-            except RemoteException as exc:
-                self._fail_call_metrics(span, exc.class_name)
-                raise
-            except ConnectionError as exc:
-                # The connection died before a response arrived (socket
-                # reset, failed engine fallback, crashed server): back
-                # off and retry on a fresh connection.
-                attempts += 1
-                if attempts > max_retries:
-                    self._fail_call_metrics(span, type(exc).__name__)
-                    raise RetriesExhaustedError(
-                        f"{method}: no response after {attempts} attempt(s)",
-                        attempts=attempts, cause=exc,
-                    ) from exc
-                yield self.env.timeout(
-                    _backoff_us(retry_interval_us, attempts, "exponential")
-                )
-                continue
-            break
+                failure = ("transport failed", exc, type(exc).__name__)
+            if failure is None:
+                try:
+                    value = yield call.done
+                    break
+                except (ServerOverloadedException, RetriableException) as exc:
+                    # A RetriableException carries the server's suggested
+                    # backoff (priority-aware); otherwise exponential.
+                    suggested_us = getattr(exc, "backoff_us", 0.0)
+                    failure = ("server overloaded", exc, exc.CLASS_NAME)
+                except RpcTimeoutError:
+                    self._fail_call_metrics(span, "RpcTimeoutError")
+                    raise
+                except RemoteException as exc:
+                    self._fail_call_metrics(span, exc.class_name)
+                    raise
+                except ConnectionError as exc:
+                    # The connection died before a response arrived
+                    # (socket reset, failed engine fallback, crashed
+                    # server).
+                    failure = ("no response", exc, type(exc).__name__)
+            what, cause, label = failure
+            attempts += 1
+            if attempts > max_retries:
+                self._fail_call_metrics(span, label)
+                raise RetriesExhaustedError(
+                    f"{method}: {what} after {attempts} attempt(s)",
+                    attempts=attempts, cause=cause,
+                ) from cause
+            yield self.env.timeout(
+                suggested_us if suggested_us > 0
+                else _backoff_us(retry_interval_us, attempts, "exponential")
+            )
         latency_us = self.env.now - call.started_at
         if profile_info is not None:
             self.metrics.record_call(
@@ -388,8 +386,9 @@ class Client:
         interval_us = conf.get_float("ipc.client.connect.retry.interval")
         policy = str(conf.get("ipc.client.connect.retry.policy", "fixed"))
         if self._call_conf()[4]:
-            # Imported lazily: repro.rpc.mux subclasses the connection
-            # classes below, so a module-level import would be circular.
+            # Imported lazily: repro.rpc.mux mixes its window policy into
+            # the connection classes below, so a module-level import
+            # would be circular.
             from repro.rpc import mux
 
             ib_cls: type = mux.MuxIBConnection
@@ -477,14 +476,26 @@ class Client:
 
 
 class BaseConnection:
-    """Shared call-table bookkeeping for both connection flavours.
+    """One connection pipeline: encode → dispatch policy → transport.
 
-    Every established connection runs a *keeper* process — the analogue
-    of Hadoop's connection thread housekeeping: it enforces per-call
-    deadlines, sends PING frames when the connection has been quiet too
-    long with calls outstanding, and tears the connection down after
-    ``ipc.client.connection.maxidletime`` without traffic.
+    :meth:`send_call` and :meth:`_receive_loop` are the whole call path.
+    A transport subclass supplies ``setup``, ``_encode``, ``_post`` (a
+    direct send), ``_send_batch`` (a windowed flush), ``_pull`` (frame
+    reads), ``_send_ping``, ``close`` and ``STREAM`` (whether messages
+    are framed onto a byte stream).  The dispatch policy is the class's
+    ``WINDOWED`` property — direct here, windowed in
+    :class:`repro.rpc.mux.ConnectionMux`.
+
+    Every established connection also runs a *keeper* process — the
+    analogue of Hadoop's connection thread housekeeping: it enforces
+    per-call deadlines, sends PING frames when the connection has been
+    quiet too long with calls outstanding, and tears the connection down
+    after ``ipc.client.connection.maxidletime`` without traffic.
     """
+
+    #: dispatch policy: False — the caller transmits its own call; True —
+    #: the window policy queues it for the connection's shared sender.
+    WINDOWED = False
 
     def __init__(self, client: Client, address: SocketAddress, protocol):
         self.client = client
@@ -494,8 +505,8 @@ class BaseConnection:
         self.protocol = protocol
         self.protocol_name = protocol.protocol_name()
         #: the connection table key this connection lives under — the
-        #: mux subclasses re-key themselves to (address, MUX_CONNECTION_KEY)
-        #: so one connection serves every protocol on the transport.
+        #: window policy re-keys it to (address, MUX_CONNECTION_KEY) so
+        #: one connection serves every protocol on the transport.
         self.conn_key: Tuple[SocketAddress, str] = (address, self.protocol_name)
         self.calls: Dict[int, Call] = {}
         self.closed = False
@@ -508,14 +519,148 @@ class BaseConnection:
         )
         self.last_activity = self.env.now
         self._kick = None
-        self._keeper = None
         # The client-daemon heap every call's ledger folds into —
         # resolved once (dict lookup + on-demand creation per absorb
         # otherwise).
         self._heap = client.node.heap("rpc-client")
 
-    # subclasses: setup() generator, send_call(call) generator,
-    # _send_ping() generator, close()
+    # -- the send path -----------------------------------------------------
+    def send_call(self, call: Call):
+        """Encode the call on the caller's thread, then dispatch it.
+
+        Returns the call's send profile.  Under the window policy the
+        call is only queued: the caller's ``yield call.done`` covers the
+        queue wait, and the ``rpc.mux.queue`` span records it when the
+        shared sender flushes the call.
+        """
+        if self.WINDOWED and self.closed:
+            raise SocketClosed(f"{self.client.name}: mux connection closed")
+        tracer = self.client.fabric.tracer
+        node = self.client.node.name
+        parent = call.span if call.span is not None else NULL_SPAN
+        sspan = tracer.start(
+            "rpc.serialize", parent=parent, node=node, category="rpc.client",
+        )
+        ledger = CostLedger(self.model)
+        out, message_bytes, adjustments, annotations = self._encode(call, ledger)
+        serialization_us = ledger.total_us
+        self.calls[call.id] = call
+        yield self.env.timeout(ledger.drain())
+        for key, value in annotations:
+            sspan.annotate(key, value)
+        sspan.annotate("adjustments", adjustments)
+        sspan.annotate("message_bytes", message_bytes)
+        sspan.end()
+        if self.WINDOWED:
+            # The shared sender owns the wire flush; the enqueue itself
+            # costs the caller nothing beyond serialization.
+            self._send_queue.append((call, out, message_bytes, self.env.now))
+            self._wake_sender()
+            send_us = 0.0
+        else:
+            send_start = self.env.now
+            dspan = tracer.start(
+                "rpc.send", parent=parent, node=node, category="rpc.client",
+            )
+            if self.STREAM:
+                # Listing 1 lines 10-13, on the caller's thread.
+                out = frame_chunks(out, ledger)
+                yield self.env.timeout(ledger.drain())
+            ref = parent.context  # None when tracing is disabled
+            if ref is not None:
+                ref.sent_at = self.env.now
+            try:
+                sent, tags = self._post(call, out, message_bytes, ref)
+                yield sent  # completes at local send completion
+            except QPBrokenError:
+                out.release()
+                dspan.annotate("error", "QPBrokenError").end()
+                self._absorb(ledger)
+                self._engine_failed("qp_break")
+                raise
+            send_us = self.env.now - send_start
+            if not self.STREAM:
+                out.release()  # buffer reusable: payload snapshotted at post
+                yield self.env.timeout(ledger.drain())
+            for key, value in tags:
+                dspan.annotate(key, value)
+            dspan.end()
+        self._absorb(ledger)
+        self._note_activity()
+        self._wake_keeper()
+        return {
+            "adjustments": adjustments,
+            "serialization_us": serialization_us,
+            "send_us": send_us,
+            "message_bytes": message_bytes,
+        }
+
+    # -- the receive path --------------------------------------------------
+    def _start(self, name: str) -> None:
+        """Start the connection thread and the keeper."""
+        self.env.process(self._receive_loop(), name=f"{name}:{self.client.name}")
+        self._start_keeper()
+
+    def _receive_loop(self):
+        """Connection thread: pull a frame from the transport, then settle
+        every response it carries — one, or a server-merged batch."""
+        sw = self.model.software
+        tracer = self.client.fabric.tracer
+        node = self.client.node.name
+        while not self.closed:
+            try:
+                frame = self._pull(None)
+                while type(frame) is not tuple:  # a read to wait for
+                    frame = self._pull((yield frame))
+            except QPBrokenError:
+                return  # the engine fallback owns the outstanding calls
+            except SocketClosed:
+                break
+            receive_start, ledger, inp, nbytes, tags = frame
+            call_id = inp.read_int()
+            count, batch = 1, call_id == BATCH_CALL_ID
+            if batch:
+                count = inp.read_int()
+            responses = []
+            for _ in range(count):
+                if batch:
+                    inp.read_int()  # per-response frame length
+                    call_id = inp.read_int()
+                status = inp.read_byte()
+                value = error_cls = error_msg = None
+                if status == RpcStatus.SUCCESS:
+                    value = ObjectWritable.read(inp)
+                else:
+                    error_cls = inp.read_utf()
+                    error_msg = inp.read_utf()
+                responses.append(
+                    (call_id, status, value, error_cls or "", error_msg or "")
+                )
+            # One connection-thread wakeup settles the whole frame: the
+            # window slots of a merged batch free *together*, so the
+            # sender immediately refills them with an equally big batch
+            # (this is what keeps adaptive batching self-sustaining).
+            yield self.env.timeout(ledger.drain() + sw.thread_handoff_us)
+            if self.WINDOWED:
+                tags = {**tags, "batched": len(responses)}
+            for call_id, status, value, error_cls, error_msg in responses:
+                call = self.calls.get(call_id)
+                if call is not None and call.span is not None:
+                    tracer.complete(
+                        "rpc.recv", receive_start, self.env.now,
+                        parent=call.span, node=node, category="rpc.client",
+                        response_bytes=nbytes, **tags,
+                    )
+                self._complete(call_id, status, value, error_cls, error_msg)
+            self._absorb(ledger)
+            self._note_activity()
+            # Re-arm the keeper: its sleep was computed while these calls
+            # were outstanding (ping cadence); idle teardown now applies.
+            self._wake_keeper()
+        if self.STREAM:
+            # The stream ended: no response can arrive any more.
+            self._transport_failed(SocketClosed("connection closed"))
+            self._wake_keeper()
 
     def _complete(self, call_id: int, status: int, value, error_cls="", error_msg=""):
         call = self.calls.pop(call_id, None)
@@ -545,7 +690,7 @@ class BaseConnection:
     # -- keeper: timeouts, pings, idle teardown ---------------------------
     def _start_keeper(self) -> None:
         self.last_activity = self.env.now
-        self._keeper = self.env.process(
+        self.env.process(
             self._keeper_loop(), name=f"rpc-conn-keeper:{self.client.name}"
         )
 
@@ -600,7 +745,7 @@ class BaseConnection:
                     try:
                         yield from self._send_ping()
                     except QPBrokenError:
-                        self._ping_engine_failed()
+                        self._engine_failed("qp_break")
                         return
                     except ConnectionError as exc:
                         self._transport_failed(exc)
@@ -626,18 +771,22 @@ class BaseConnection:
         self.client._forget(self)
         self._fail_all(exc)
 
-    def _ping_engine_failed(self) -> None:
-        """A ping hit a broken engine; subclasses may fall back."""
-        self._transport_failed(ConnectionError("ping failed: engine broken"))
-
 
 class SocketConnection(BaseConnection):
     """Default engine: Writable serialization over a socket stream."""
 
+    #: a byte stream: every message is length-prefixed through the
+    #: buffered stream path before the write.
+    STREAM = True
+
     def __init__(self, client, address, protocol):
         super().__init__(client, address, protocol)
         self.sock = None
-        self._receiver = None
+        #: received bytes not yet settled, and the receive under way:
+        #: when it started and the ledger charged for its buffers.
+        self._rx = bytearray()
+        self._rx_start = 0.0
+        self._rx_ledger: Optional[CostLedger] = None
 
     def setup(self):
         self.sock = yield simsockets.connect(
@@ -647,136 +796,91 @@ class SocketConnection(BaseConnection):
         ledger = CostLedger(self.model)
         buf = DataOutputBuffer(ledger)
         ConnectionHeader(self.protocol_name, self.protocol.VERSION).write(buf)
-        frame = self._frame(buf, ledger)
+        frame = frame_chunks(buf.get_view(), ledger)
         yield self.env.timeout(ledger.drain())
         self._absorb(ledger)
         yield self.sock.send(frame)
-        self._receiver = self.env.process(
-            self._receive_loop(), name=f"rpc-conn-recv:{self.client.name}"
-        )
-        self._start_keeper()
+        self._start("rpc-conn-recv")
 
-    @staticmethod
-    def _frame(buf: DataOutputBuffer, ledger: CostLedger) -> list:
-        """Length-prefix ``buf`` through the buffered stream path
-        (Listing 1 lines 10-13), charging its copies.
+    def _encode(self, call: Call, ledger: CostLedger):
+        """Listing 1: serialize into a DataOutputBuffer."""
+        buf = DataOutputBuffer(ledger, initial_size=self.client._call_conf()[3])
+        buf.write_int(call.id)
+        Invocation(call.method, call.params).write(buf)
+        # the view stays valid: the buffer is never written again.
+        return buf.get_view(), buf.get_length(), buf.adjustments, ()
 
-        Returns the frame as a list of chunks (gather write): the
-        serialized message travels as a zero-copy ``get_view`` and the
-        transport materializes the wire image exactly once.
-        """
+    def _post(self, call: Call, frame: list, message_bytes: int, ref):
+        """Write the frame; returns the send and its ``rpc.send`` tags."""
+        # frame = 4-byte length prefix + serialized message.
+        return self.sock.send(frame, trace=ref), (("frame_bytes", 4 + message_bytes),)
+
+    def _send_batch(self, batch):
+        """Frame a window of encoded calls into one flush through the
+        vectored path (run by the window policy's sender)."""
+        ledger = CostLedger(self.model)
         sink = VectorSink()
         buffered = BufferedOutputStream(sink, ledger)
         out = DataOutputStream(buffered, ledger)
-        out.write_int(buf.get_length())
-        buffered.write_bytes(buf.get_view())
+        out.write_int(8 + sum(4 + length for _, _, length, _ in batch))
+        out.write_int(BATCH_CALL_ID)
+        out.write_int(len(batch))
+        for _, payload, length, _ in batch:
+            out.write_int(length)
+            buffered.write_bytes(payload)
         out.flush()
-        return sink.chunks
-
-    def send_call(self, call: Call):
-        """Listing 1: serialize into a DataOutputBuffer, then send."""
-        tracer = self.client.fabric.tracer
-        parent = call.span if call.span is not None else NULL_SPAN
-        sspan = tracer.start(
-            "rpc.serialize", parent=parent, node=self.client.node.name,
-            category="rpc.client",
-        )
-        ledger = CostLedger(self.model)
-        initial = self.client._call_conf()[3]
-        buf = DataOutputBuffer(ledger, initial_size=initial)
-        buf.write_int(call.id)
-        Invocation(call.method, call.params).write(buf)
-        serialization_us = ledger.total_us
-        message_bytes = buf.get_length()
-        self.calls[call.id] = call
         yield self.env.timeout(ledger.drain())
-        sspan.annotate("adjustments", buf.adjustments)
-        sspan.annotate("message_bytes", message_bytes)
-        sspan.end()
-
-        send_start = self.env.now
-        dspan = tracer.start(
-            "rpc.send", parent=parent, node=self.client.node.name,
-            category="rpc.client",
-        )
-        frame = self._frame(buf, ledger)
-        yield self.env.timeout(ledger.drain())
-        ref = parent.context  # None when tracing is disabled
-        if ref is not None:
-            ref.sent_at = self.env.now
-        yield self.sock.send(frame, trace=ref)  # completes at local write
-        send_us = self.env.now - send_start
-        # frame = 4-byte length prefix + serialized message.
-        dspan.annotate("frame_bytes", 4 + message_bytes)
-        dspan.end()
         self._absorb(ledger)
-        self._note_activity()
-        self._wake_keeper()
-        return {
-            "adjustments": buf.adjustments,
-            "serialization_us": serialization_us,
-            "send_us": send_us,
-            "message_bytes": message_bytes,
-        }
+        refs = self._stamp_batch(batch, self.client.fabric.tracer)
+        yield self.sock.send(sink.chunks, trace=refs)
 
     def _send_ping(self):
         """Hadoop ``Client.sendPing``: a PING_CALL_ID frame, liveness only."""
         ledger = CostLedger(self.model)
         buf = DataOutputBuffer(ledger)
         buf.write_int(PING_CALL_ID)
-        frame = self._frame(buf, ledger)
+        frame = frame_chunks(buf.get_view(), ledger)
         yield self.env.timeout(ledger.drain())
         self._absorb(ledger)
         yield self.sock.send(frame)
 
-    def _receive_loop(self):
-        """Connection thread: read responses, complete waiting callers."""
-        sw = self.model.software
-        tracer = self.client.fabric.tracer
-        while not self.closed:
-            try:
-                header = yield self.sock.recv(4)
-            except SocketClosed:
-                break
-            receive_start = self.env.now
-            ledger = CostLedger(self.model)
-            ledger.charge_heap_alloc(4)
-            length = int.from_bytes(header, "big")
-            # Listing 2's client analogue: allocate a heap buffer for
-            # the whole response, copy it up from the native layer.
-            ledger.charge_heap_alloc(length)
-            try:
-                payload = yield self.sock.recv(length)
-            except SocketClosed:
-                break
-            ledger.charge_copy(length)
-            inp = DataInputBuffer(payload, ledger)
-            call_id = inp.read_int()
-            status = inp.read_byte()
-            value = error_cls = error_msg = None
-            if status == RpcStatus.SUCCESS:
-                value = ObjectWritable.read(inp)
-            else:
-                error_cls = inp.read_utf()
-                error_msg = inp.read_utf()
-            yield self.env.timeout(ledger.drain() + sw.thread_handoff_us)
-            self._absorb(ledger)
-            call = self.calls.get(call_id)
-            if call is not None and call.span is not None:
-                tracer.complete(
-                    "rpc.recv", receive_start, self.env.now, parent=call.span,
-                    node=self.client.node.name, category="rpc.client",
-                    response_bytes=length,
-                )
-            self._complete(call_id, status, value, error_cls or "", error_msg or "")
-            self._note_activity()
-            # Re-arm the keeper: its sleep was computed while this call
-            # was outstanding (ping cadence); idle teardown now applies.
-            self._wake_keeper()
-        self.closed = True
-        self.client._forget(self)
-        self._fail_all(SocketClosed("connection closed"))
-        self._wake_keeper()
+    def _pull(self, chunk):
+        """Buffer what the last read returned (None at a frame boundary);
+        return the next whole frame, or the read to wait for.
+
+        Listing 2's reader reads the length prefix, then the body, and
+        allocates the heap buffers — starting the receive — as soon as
+        it has the prefix.  The window policy's bulk reader takes
+        everything already delivered in one read, so a merged response
+        batch costs one wakeup, and starts a frame once all of it is
+        buffered.
+        """
+        pending = self._rx
+        if chunk is not None:
+            pending += chunk
+        have = len(pending)
+        if have < 4:
+            need = 4 - have
+        else:
+            length = int.from_bytes(pending[:4], "big")
+            need = 4 + length - have
+            if self._rx_ledger is None and (need <= 0 or not self.WINDOWED):
+                # Listing 2's client analogue: heap buffers for the
+                # length and the whole response.
+                self._rx_start = self.env.now
+                self._rx_ledger = CostLedger(self.model)
+                self._rx_ledger.charge_heap_alloc(4)
+                self._rx_ledger.charge_heap_alloc(length)
+            if need <= 0:
+                ledger, self._rx_ledger = self._rx_ledger, None
+                ledger.charge_copy(length)  # up from the native layer
+                payload = bytes(memoryview(pending)[4 : 4 + length])
+                del pending[: 4 + length]
+                inp = DataInputBuffer(payload, ledger)
+                return self._rx_start, ledger, inp, length, {}
+        if self.WINDOWED:
+            need = max(need, self.sock.available)
+        return self.sock.recv(need)
 
     def close(self) -> None:
         self.closed = True
@@ -788,10 +892,13 @@ class SocketConnection(BaseConnection):
 class IBConnection(BaseConnection):
     """RPCoIB engine: endpoint bootstrap, then verbs/RDMA data path."""
 
+    #: verbs posts the registered buffer the call was serialized into —
+    #: no framing copy — and recycles it once the post has snapshotted it.
+    STREAM = False
+
     def __init__(self, client, address, protocol):
         super().__init__(client, address, protocol)
         self.qp: Optional[QueuePair] = None
-        self._receiver = None
         self._adaptive: Optional[AdaptiveTransport] = None
 
     @property
@@ -831,84 +938,74 @@ class IBConnection(BaseConnection):
         endpoint = Endpoint(fabric, self.client.node, name=f"ep:{self.client.name}")
         self.qp = server.accept_ib(endpoint, self.protocol_name)
         sock.close()  # bootstrap channel no longer needed
-        self._receiver = self.env.process(
-            self._receive_loop(), name=f"rpcoib-conn-recv:{self.client.name}"
-        )
-        self._start_keeper()
+        self._start("rpcoib-conn-recv")
 
     @property
     def rdma_threshold(self) -> int:
         return self.client.conf.get_int("rpc.ib.rdma.threshold")
 
-    def send_call(self, call: Call):
-        """Serialize straight into a pooled registered buffer and post."""
-        tracer = self.client.fabric.tracer
-        parent = call.span if call.span is not None else NULL_SPAN
-        sspan = tracer.start(
-            "rpc.serialize", parent=parent, node=self.client.node.name,
-            category="rpc.client",
-        )
+    def _encode(self, call: Call, ledger: CostLedger):
+        """JVM-bypass serialization straight into a pooled registered
+        buffer."""
         pool = self.client.pool
         predicted = pool.predicted_size(self.protocol_name, call.method)
-        ledger = CostLedger(self.model)
-        out = RDMAOutputStream(
-            self.client.pool, self.protocol_name, call.method, ledger
-        )
+        out = RDMAOutputStream(pool, self.protocol_name, call.method, ledger)
         out.write_int(call.id)
         Invocation(call.method, call.params).write(out)
-        serialization_us = ledger.total_us
-        message_bytes = out.get_length()
-        adjustments = out.grow_count
-        self.calls[call.id] = call
-        yield self.env.timeout(ledger.drain())
         # Section III-C pool behaviour as span annotations: whether the
         # size-history prediction held, and any pool-doubling growths
         # (RPCoIB's analogue of Algorithm-1 adjustments).
-        sspan.annotate("pool_predicted_bytes", predicted)
-        sspan.annotate("pool_hit", adjustments == 0)
-        sspan.annotate("adjustments", adjustments)
-        sspan.annotate("message_bytes", message_bytes)
-        sspan.end()
-
-        send_start = self.env.now
-        dspan = tracer.start(
-            "rpc.send", parent=parent, node=self.client.node.name,
-            category="rpc.client",
+        annotations = (
+            ("pool_predicted_bytes", predicted),
+            ("pool_hit", out.grow_count == 0),
         )
+        if not self.WINDOWED:
+            return out, out.get_length(), out.grow_count, annotations
+        # A queued call outlives its caller's send: hand off a snapshot
+        # so the pooled buffer recycles immediately; the gather copy
+        # into the aggregated post is charged at the sender.
         buffer, length = out.detach()
-        ref = parent.context  # None when tracing is disabled
-        if ref is not None:
-            ref.sent_at = self.env.now
+        with memoryview(buffer.data) as view:
+            payload = bytes(view[:length])
+        out.release()
+        return payload, length, out.grow_count, annotations
+
+    def _post(self, call: Call, out: RDMAOutputStream, message_bytes: int, ref):
+        """Post the pooled buffer; returns the send and its ``rpc.send``
+        tags."""
+        buffer, length = out.detach()
         # One resolved decision feeds the post, the costs, and the trace
         # tag — the classify() hoist that keeps them from drifting.
         choice = self.adaptive.choose(self.protocol_name, call.method, length)
+        tags = [("eager", choice.eager)]
+        if choice.source != "static":
+            tags += [("transport_source", choice.source), ("preposted", choice.preposted)]
+        sent = self.qp.post_send(
+            buffer, length, choice=choice, context=call.id, trace=ref,
+        )
+        return sent, tags
+
+    def _send_batch(self, batch):
+        """Gather a window of encoded calls into one post (Ibdxnet-style
+        ORB), run by the window policy's sender."""
+        ledger = CostLedger(self.model)
+        buf = DataOutputBuffer(ledger, initial_size=_IB_AGGREGATION_INITIAL)
+        buf.write_int(BATCH_CALL_ID)
+        buf.write_int(len(batch))
+        for _, payload, length, _ in batch:
+            buf.write_int(length)
+            buf.write(payload)  # the aggregation copy, charged here
+        yield self.env.timeout(ledger.drain())
+        self._absorb(ledger)
+        refs = self._stamp_batch(batch, self.client.fabric.tracer)
         try:
             yield self.qp.post_send(
-                buffer, length, choice=choice, context=call.id, trace=ref,
+                buf.get_view(), buf.get_length(),
+                rdma_threshold=self.rdma_threshold, trace=refs,
             )
         except QPBrokenError:
-            out.release()
-            dspan.annotate("error", "QPBrokenError").end()
-            self._absorb(ledger)
             self._engine_failed("qp_break")
             raise
-        send_us = self.env.now - send_start
-        out.release()  # buffer reusable: payload snapshotted at post
-        yield self.env.timeout(ledger.drain())
-        dspan.annotate("eager", choice.eager)
-        if choice.source != "static":
-            dspan.annotate("transport_source", choice.source)
-            dspan.annotate("preposted", choice.preposted)
-        dspan.end()
-        self._absorb(ledger)
-        self._note_activity()
-        self._wake_keeper()
-        return {
-            "adjustments": adjustments,
-            "serialization_us": serialization_us,
-            "send_us": send_us,
-            "message_bytes": message_bytes,
-        }
 
     def _send_ping(self):
         """PING frame over the verbs engine (always eager-sized)."""
@@ -927,40 +1024,18 @@ class IBConnection(BaseConnection):
             out.release()
         self._absorb(ledger)
 
-    def _receive_loop(self):
-        sw = self.model.software
-        tracer = self.client.fabric.tracer
-        while not self.closed:
-            message = yield self.qp.recv()
-            if isinstance(message, QPBreak):
-                if not self.closed:
-                    self._engine_failed(message.reason)
-                return
-            receive_start = self.env.now
-            ledger = CostLedger(self.model)
-            inp = RDMAInputStream(message.data, message.length, ledger)
-            call_id = inp.read_int()
-            status = inp.read_byte()
-            value = error_cls = error_msg = None
-            if status == RpcStatus.SUCCESS:
-                value = ObjectWritable.read(inp)
-            else:
-                error_cls = inp.read_utf()
-                error_msg = inp.read_utf()
-            yield self.env.timeout(ledger.drain() + sw.thread_handoff_us)
-            self._absorb(ledger)
-            call = self.calls.get(call_id)
-            if call is not None and call.span is not None:
-                tracer.complete(
-                    "rpc.recv", receive_start, self.env.now, parent=call.span,
-                    node=self.client.node.name, category="rpc.client",
-                    response_bytes=message.length, eager=message.eager,
-                )
-            self._complete(call_id, status, value, error_cls or "", error_msg or "")
-            self._note_activity()
-            # Re-arm the keeper: its sleep was computed while this call
-            # was outstanding (ping cadence); idle teardown now applies.
-            self._wake_keeper()
+    def _pull(self, message):
+        """A polled completion is one whole frame (None: poll for the
+        next one); a QPBreak takes the engine down."""
+        if message is None:
+            return self.qp.recv()
+        if isinstance(message, QPBreak):
+            if not self.closed:
+                self._engine_failed(message.reason)
+            raise QPBrokenError(message.reason)
+        ledger = CostLedger(self.model)
+        inp = RDMAInputStream(message.data, message.length, ledger)
+        return self.env.now, ledger, inp, message.length, {"eager": message.eager}
 
     def _engine_failed(self, reason: str) -> None:
         """The QP broke: close this engine and migrate in-flight calls
@@ -973,9 +1048,6 @@ class IBConnection(BaseConnection):
         self.client._forget(self)
         self._wake_keeper()
         self.client._begin_fallback(self, reason)
-
-    def _ping_engine_failed(self) -> None:
-        self._engine_failed("qp_break")
 
     def close(self) -> None:
         self.closed = True

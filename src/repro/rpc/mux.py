@@ -1,33 +1,33 @@
-"""Async multiplexed RPC client: shared connections + adaptive batching.
+"""The window dispatch policy: shared connections + adaptive batching.
 
-The call-at-a-time client (:mod:`repro.rpc.client`) opens one
-connection per ``(address, protocol)`` and every caller drives its own
-send on it.  That keeps the wire busy per caller but scales badly under
-incast: a thousand callers mean a thousand serialized send operations,
-and the server's single Reader pays full per-frame decode cost for each
-tiny call.
+Every connection runs one pipeline — encode, dispatch, transport
+(:mod:`repro.rpc.client`).  Its default dispatch policy is direct: the
+caller that encoded a call transmits it.  That keeps the wire busy per
+caller but scales badly under incast: a thousand callers mean a
+thousand serialized send operations, and the server's single Reader
+pays full per-frame decode cost for each tiny call.
 
-This module is the ``ipc.client.async.*`` opt-in path, modeled on the
+This module is the ``ipc.client.async.*`` opt-in policy, modeled on the
 aggregation designs of Ibdxnet and RDMAbox (PAPERS.md) and the
-32-in-flight sessions of SNIPPETS.md Snippet 2:
+32-in-flight sessions of SNIPPETS.md Snippet 2.  :class:`ConnectionMux`
+is mixed into the same transport classes (``MuxSocketConnection``,
+``MuxIBConnection``) and contributes only the window:
 
 * **One connection per (address, transport)** — all callers and all
-  protocols on a node share a single :class:`ConnectionMux`-flavoured
-  connection, with the inherited keeper process running exactly once
-  per mux (deadlines, keepalive pings, idle teardown — unchanged
-  semantics, shared enforcement).
-* **Caller-side serialization, single sender** — each caller encodes
-  its own call (in parallel, on its own simulated thread) and enqueues
-  the encoded payload; one sender process drains the queue under a
-  bounded in-flight window (``ipc.client.async.max-inflight``,
-  hot-reloadable) and frames *every* queued call into one
-  ``BATCH_CALL_ID`` wire frame, flushed once through the existing
-  vectored-write path — N small calls cost one wire operation.
-* **Demultiplexing receive loop** — responses (plain or server-merged
-  batches) are matched to callers by call id; each call's time between
-  enqueue and actual send is recorded as an ``rpc.mux.queue`` span so
-  batching is visible in traces.
-* **Failure semantics carry over to the whole window** — deadlines
+  protocols on a node share it, with the connection's keeper process
+  running exactly once per mux (deadlines, keepalive pings, idle
+  teardown — unchanged semantics, shared enforcement).
+* **A queue and one sender** — each caller still encodes its own call
+  on its own simulated thread; the connection's ``send_call`` then
+  enqueues the payload here.  One sender process drains the queue under
+  a bounded in-flight window (``ipc.client.async.max-inflight``,
+  hot-reloadable) and hands *every* queued call to the transport's
+  batch send as one ``BATCH_CALL_ID`` frame — N small calls cost one
+  wire operation.  Each call's time between enqueue and send is
+  recorded as an ``rpc.mux.queue`` span so batching is visible in
+  traces.
+* **Window bookkeeping** — the connection's receive loop settles plain
+  or server-merged responses; settling frees window slots, deadlines
   expire queued and in-flight calls alike, ``close()`` fails every
   outstanding caller exactly once, and a QP break migrates the entire
   unacknowledged window to the sockets path through the client's
@@ -39,34 +39,26 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Set, Tuple
 
-from repro.io.buffered import BufferedOutputStream, VectorSink
-from repro.io.data_input import DataInputBuffer
-from repro.io.data_output import DataOutputBuffer, DataOutputStream
-from repro.io.rdma_streams import RDMAInputStream, RDMAOutputStream
-from repro.io.writable import ObjectWritable
-from repro.mem.cost import CostLedger
 from repro.net.sockets import SocketClosed
-from repro.net.verbs import QPBreak, QPBrokenError
-from repro.rpc.call import BATCH_CALL_ID, Call, Invocation, RpcStatus
+from repro.net.verbs import QPBrokenError
+from repro.rpc.call import BATCH_CALL_ID, Call
 from repro.rpc.client import (
     IBConnection,
     MUX_CONNECTION_KEY,
     SocketConnection,
 )
 
-#: initial capacity of the IB sender's aggregation buffer — warm enough
-#: that a typical window of small calls gathers without growth charges.
-_IB_AGGREGATION_INITIAL = 4096
-
 
 class ConnectionMux:
-    """Mixin adding the send queue, window, and sender to a connection.
+    """The window policy, mixed in *before* a transport class.
 
-    Mixed in *before* the engine class (``MuxSocketConnection(
-    ConnectionMux, SocketConnection)``) so its overrides win: the
-    engine class keeps transport setup, pings, and bookkeeping, while
-    enqueueing, batching, and window accounting live here.
+    ``MuxSocketConnection(ConnectionMux, SocketConnection)``: the
+    transport keeps setup, encoding, framing, pings and the receive
+    loop; the queue, the sender and the window accounting live here.
     """
+
+    #: the connection's send_call queues each encoded call for the sender.
+    WINDOWED = True
 
     #: Configuration keys the mux re-reads while running (mirrored into
     #: the SIM010 hot-reload registry — see repro/lint/rules.py).  The
@@ -74,13 +66,14 @@ class ConnectionMux:
     #: before every batch, so a live retune takes effect immediately.
     RELOADABLE_KEYS = frozenset({"ipc.client.async.max-inflight"})
 
-    def _init_mux(self) -> None:
+    def __init__(self, client, address, protocol):
+        super().__init__(client, address, protocol)
+        self.conn_key = (address, MUX_CONNECTION_KEY)
         #: encoded calls awaiting a window slot:
         #: (call, payload, length, enqueued_at).
         self._send_queue: Deque[Tuple[Call, object, int, float]] = deque()
         #: ids sent but not yet answered/expired — the in-flight window.
         self._inflight_ids: Set[int] = set()
-        self._sender = None
         self._sender_kick = None
         self._mux_conf_stamp = -1
         self._mux_window = 1
@@ -89,6 +82,12 @@ class ConnectionMux:
         self.calls_batched = 0
         self.max_batch = 0
         self.max_inflight_seen = 0
+
+    def setup(self):
+        yield from super().setup()
+        self.env.process(
+            self._sender_loop(), name=f"rpc-mux-send:{self.client.name}"
+        )
 
     @property
     def window(self) -> int:
@@ -101,56 +100,7 @@ class ConnectionMux:
             self._mux_conf_stamp = conf.version
         return self._mux_window
 
-    # -- enqueue (runs on each caller's process) --------------------------
-    def send_call(self, call: Call):
-        """Serialize in the caller's thread, enqueue, wake the sender.
-
-        Completes as soon as the call is queued: the caller's ``yield
-        call.done`` covers the queue wait, and the ``rpc.mux.queue``
-        span records it when the sender actually flushes the call.
-        """
-        if self.closed:
-            raise SocketClosed(f"{self.client.name}: mux connection closed")
-        tracer = self.client.fabric.tracer
-        parent = call.span
-        sspan = tracer.start(
-            "rpc.serialize",
-            parent=parent,
-            node=self.client.node.name,
-            category="rpc.client",
-        )
-        ledger = CostLedger(self.model)
-        payload, length, adjustments, annotations = self._encode_call(
-            call, ledger
-        )
-        serialization_us = ledger.total_us
-        self.calls[call.id] = call
-        yield self.env.timeout(ledger.drain())
-        self._absorb(ledger)
-        for key, value in annotations:
-            sspan.annotate(key, value)
-        sspan.annotate("adjustments", adjustments)
-        sspan.annotate("message_bytes", length)
-        sspan.end()
-        self._send_queue.append((call, payload, length, self.env.now))
-        self._wake_sender()
-        self._note_activity()
-        self._wake_keeper()
-        return {
-            "adjustments": adjustments,
-            "serialization_us": serialization_us,
-            # the wire flush belongs to the shared sender; the enqueue
-            # itself costs the caller nothing beyond serialization.
-            "send_us": 0.0,
-            "message_bytes": length,
-        }
-
     # -- sender -----------------------------------------------------------
-    def _start_sender(self) -> None:
-        self._sender = self.env.process(
-            self._sender_loop(), name=f"rpc-mux-send:{self.client.name}"
-        )
-
     def _wake_sender(self) -> None:
         if self._sender_kick is not None and not self._sender_kick.triggered:
             self._sender_kick.succeed()
@@ -257,6 +207,16 @@ class ConnectionMux:
         self._inflight_ids.clear()
         self._wake_sender()
 
+    def _engine_failed(self, reason: str) -> None:
+        super()._engine_failed(reason)
+        # The fallback proc owns every registered call now (including
+        # the ones still queued here — they were registered at enqueue);
+        # drop the dead engine's queue and release the sender so it
+        # exits instead of blocking on its kick event forever.
+        self._send_queue.clear()
+        self._inflight_ids.clear()
+        self._wake_sender()
+
     def close(self) -> None:
         super().close()
         # Fail the whole window — queued and in-flight alike — exactly
@@ -265,17 +225,15 @@ class ConnectionMux:
         # receive-loop teardown is a no-op.)
         self._fail_all(SocketClosed(f"{self.client.name}: mux closed"))
 
-    # -- shared response parsing ------------------------------------------
-    @staticmethod
-    def _read_response(call_id: int, inp):
-        status = inp.read_byte()
-        value = error_cls = error_msg = None
-        if status == RpcStatus.SUCCESS:
-            value = ObjectWritable.read(inp)
-        else:
-            error_cls = inp.read_utf()
-            error_msg = inp.read_utf()
-        return call_id, status, value, error_cls, error_msg
+
+class MuxSocketConnection(ConnectionMux, SocketConnection):
+    """Sockets engine under the window policy: batch frames through the
+    vectored path, bulk reads on receive."""
+
+
+class MuxIBConnection(ConnectionMux, IBConnection):
+    """RPCoIB engine under the window policy: the window gathered into
+    one verbs post."""
 
 
 def batch_frame_chunks(payloads) -> List[object]:
@@ -302,224 +260,3 @@ def batch_frame_chunks(payloads) -> List[object]:
 def call_frame_bytes(payload) -> bytes:
     """The call-at-a-time wire frame for one encoded call payload."""
     return len(payload).to_bytes(4, "big", signed=True) + bytes(payload)
-
-
-class MuxSocketConnection(ConnectionMux, SocketConnection):
-    """Sockets-engine mux: batched frames through the vectored path."""
-
-    def __init__(self, client, address, protocol):
-        super().__init__(client, address, protocol)
-        self._init_mux()
-        self.conn_key = (address, MUX_CONNECTION_KEY)
-
-    def setup(self):
-        yield from super().setup()
-        self._start_sender()
-
-    def _encode_call(self, call: Call, ledger: CostLedger):
-        """Listing 1 serialization, in the caller's own thread."""
-        initial = self.client._call_conf()[3]
-        buf = DataOutputBuffer(ledger, initial_size=initial)
-        buf.write_int(call.id)
-        Invocation(call.method, call.params).write(buf)
-        # the view stays valid: the buffer is never written again.
-        return buf.get_view(), buf.get_length(), buf.adjustments, ()
-
-    def _send_batch(self, batch):
-        """Frame every queued call into one flush (get_view framing)."""
-        tracer = self.client.fabric.tracer
-        ledger = CostLedger(self.model)
-        sink = VectorSink()
-        buffered = BufferedOutputStream(sink, ledger)
-        out = DataOutputStream(buffered, ledger)
-        total = 8 + sum(4 + length for _, _, length, _ in batch)
-        out.write_int(total)
-        out.write_int(BATCH_CALL_ID)
-        out.write_int(len(batch))
-        for _, payload, length, _ in batch:
-            out.write_int(length)
-            buffered.write_bytes(payload)
-        out.flush()
-        yield self.env.timeout(ledger.drain())
-        self._absorb(ledger)
-        refs = self._stamp_batch(batch, tracer)
-        yield self.sock.send(sink.chunks, trace=refs)
-
-    def _receive_loop(self):
-        """Demux loop: bulk reads, then complete callers by call id.
-
-        Unlike the call-at-a-time loop (two blocking ``recv`` syscalls
-        per response), this drains everything the kernel already
-        buffered in one read — a server-merged response batch costs one
-        wakeup — and then settles each framed response in order.
-        """
-        sw = self.model.software
-        tracer = self.client.fabric.tracer
-        pending = bytearray()
-        while not self.closed:
-            if len(pending) >= 4:
-                frame_len = int.from_bytes(pending[:4], "big")
-                need = 4 + frame_len - len(pending)
-            else:
-                need = 4 - len(pending)
-            if need > 0:
-                # One bulk read: everything already delivered, or block
-                # for exactly what the next frame still needs.
-                available = self.sock.available
-                try:
-                    chunk = yield self.sock.recv(max(need, available))
-                except SocketClosed:
-                    break
-                pending += chunk
-                continue
-            receive_start = self.env.now
-            frame_len = int.from_bytes(pending[:4], "big")
-            ledger = CostLedger(self.model)
-            ledger.charge_heap_alloc(4)
-            ledger.charge_heap_alloc(frame_len)
-            ledger.charge_copy(frame_len)
-            payload = bytes(memoryview(pending)[4 : 4 + frame_len])
-            del pending[: 4 + frame_len]
-            inp = DataInputBuffer(payload, ledger)
-            first = inp.read_int()
-            responses = []
-            if first == BATCH_CALL_ID:
-                count = inp.read_int()
-                for _ in range(count):
-                    inp.read_int()  # per-response frame length
-                    responses.append(self._read_response(inp.read_int(), inp))
-            else:
-                responses.append(self._read_response(first, inp))
-            batched = len(responses)
-            # One connection-thread wakeup settles the whole frame: the
-            # window slots of a merged batch free *together*, so the
-            # sender immediately refills them with an equally big batch
-            # (this is what keeps adaptive batching self-sustaining).
-            yield self.env.timeout(ledger.drain() + sw.thread_handoff_us)
-            for call_id, status, value, error_cls, error_msg in responses:
-                call = self.calls.get(call_id)
-                if call is not None and call.span is not None:
-                    tracer.complete(
-                        "rpc.recv", receive_start, self.env.now,
-                        parent=call.span, node=self.client.node.name,
-                        category="rpc.client", response_bytes=frame_len,
-                        batched=batched,
-                    )
-                self._complete(
-                    call_id, status, value, error_cls or "", error_msg or ""
-                )
-            self._absorb(ledger)
-            self._note_activity()
-            self._wake_keeper()
-        self.closed = True
-        self.client._forget(self)
-        self._fail_all(SocketClosed("connection closed"))
-        self._wake_keeper()
-
-
-class MuxIBConnection(ConnectionMux, IBConnection):
-    """RPCoIB mux: gather queued calls into one verbs post."""
-
-    def __init__(self, client, address, protocol):
-        super().__init__(client, address, protocol)
-        self._init_mux()
-        self.conn_key = (address, MUX_CONNECTION_KEY)
-
-    def setup(self):
-        yield from super().setup()
-        self._start_sender()
-
-    def _engine_failed(self, reason: str) -> None:
-        super()._engine_failed(reason)
-        # The fallback proc owns every registered call now (including
-        # the ones still queued here — they were registered at enqueue);
-        # drop the dead engine's queue and release the sender so it
-        # exits instead of blocking on its kick event forever.
-        self._send_queue.clear()
-        self._inflight_ids.clear()
-        self._wake_sender()
-
-    def _encode_call(self, call: Call, ledger: CostLedger):
-        """JVM-bypass serialization into a pooled registered buffer,
-        then a handoff snapshot so the pooled buffer recycles
-        immediately; the gather copy into the aggregated post is
-        charged at the sender."""
-        pool = self.client.pool
-        predicted = pool.predicted_size(self.protocol_name, call.method)
-        out = RDMAOutputStream(pool, self.protocol_name, call.method, ledger)
-        out.write_int(call.id)
-        Invocation(call.method, call.params).write(out)
-        buffer, length = out.detach()
-        with memoryview(buffer.data) as view:
-            payload = bytes(view[:length])
-        out.release()
-        annotations = (
-            ("pool_predicted_bytes", predicted),
-            ("pool_hit", out.grow_count == 0),
-        )
-        return payload, length, out.grow_count, annotations
-
-    def _send_batch(self, batch):
-        """Aggregate the window into one post (Ibdxnet-style ORB)."""
-        tracer = self.client.fabric.tracer
-        ledger = CostLedger(self.model)
-        buf = DataOutputBuffer(ledger, initial_size=_IB_AGGREGATION_INITIAL)
-        buf.write_int(BATCH_CALL_ID)
-        buf.write_int(len(batch))
-        for _, payload, length, _ in batch:
-            buf.write_int(length)
-            buf.write(payload)  # the aggregation copy, charged here
-        yield self.env.timeout(ledger.drain())
-        self._absorb(ledger)
-        refs = self._stamp_batch(batch, tracer)
-        try:
-            yield self.qp.post_send(
-                buf.get_view(), buf.get_length(),
-                rdma_threshold=self.rdma_threshold, trace=refs,
-            )
-        except QPBrokenError:
-            self._engine_failed("qp_break")
-            raise
-
-    def _receive_loop(self):
-        sw = self.model.software
-        tracer = self.client.fabric.tracer
-        while not self.closed:
-            message = yield self.qp.recv()
-            if isinstance(message, QPBreak):
-                if not self.closed:
-                    self._engine_failed(message.reason)
-                return
-            receive_start = self.env.now
-            ledger = CostLedger(self.model)
-            inp = RDMAInputStream(message.data, message.length, ledger)
-            first = inp.read_int()
-            responses = []
-            if first == BATCH_CALL_ID:
-                count = inp.read_int()
-                for _ in range(count):
-                    inp.read_int()  # per-response frame length
-                    responses.append(self._read_response(inp.read_int(), inp))
-            else:
-                responses.append(self._read_response(first, inp))
-            batched = len(responses)
-            # One poll settles the whole completion (see the socket
-            # flavour): merged responses free their window slots
-            # together, which keeps the sender's batches big.
-            yield self.env.timeout(ledger.drain() + sw.thread_handoff_us)
-            for call_id, status, value, error_cls, error_msg in responses:
-                call = self.calls.get(call_id)
-                if call is not None and call.span is not None:
-                    tracer.complete(
-                        "rpc.recv", receive_start, self.env.now,
-                        parent=call.span, node=self.client.node.name,
-                        category="rpc.client",
-                        response_bytes=message.length, eager=message.eager,
-                        batched=batched,
-                    )
-                self._complete(
-                    call_id, status, value, error_cls or "", error_msg or ""
-                )
-            self._absorb(ledger)
-            self._note_activity()
-            self._wake_keeper()

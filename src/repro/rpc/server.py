@@ -1,18 +1,23 @@
 """Hadoop RPC server: Listener, Reader, Handler pool, Responder.
 
 Mirrors the thread structure the paper describes (Section III-D):
-``Listener`` accepts connections; ``Reader`` (the 1.0.3-style thread the
-paper adopts) decodes incoming calls and feeds the shared call queue;
-``Handler`` threads invoke the target method; ``Responder`` writes
-responses back.  The socket path executes Listing 2 verbatim — per-call
-heap ByteBuffer allocation, native->heap copy — while the RPCoIB path
-deserializes straight from registered buffers delivered through one
-shared completion queue.
+``Listener`` accepts connections; ``Reader`` threads (the 1.0.3-style
+thread the paper adopts) decode incoming calls and feed the shared call
+queue; ``Handler`` threads invoke the target method; ``Responder``
+writes responses back.
+
+Both engines run one pipeline per side of the queue: a Reader pulls a
+frame from its transport — a socket read that executes Listing 2
+verbatim (per-call heap ByteBuffer allocation, native->heap copy), or
+a poll of the one completion queue every RPCoIB connection shares —
+and one decode-and-admit path queues (or rejects) every call the frame
+carries, single or batched.  Handlers serialize responses for the
+connection's engine, and one respond path posts them: one at a time,
+or merged into a batch frame for a multiplexed client.
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Type, Union
@@ -20,8 +25,7 @@ from typing import Dict, List, Optional, Type, Union
 from repro.calibration import CostModel, NetworkSpec
 from repro.config import Configuration
 from repro.io.data_input import DataInputBuffer
-from repro.io.data_output import DataOutputBuffer, DataOutputStream
-from repro.io.buffered import BufferedOutputStream, VectorSink
+from repro.io.data_output import DataOutputBuffer
 from repro.io.rdma_streams import RDMAInputStream, RDMAOutputStream
 from repro.io.writable import ObjectWritable, Writable
 from repro.io.writables import NullWritable
@@ -36,7 +40,6 @@ from repro.net.verbs import (
     QPBreak,
     QPBrokenError,
     QueuePair,
-    classify,
 )
 from repro.rpc.call import (
     BATCH_CALL_ID,
@@ -44,6 +47,7 @@ from repro.rpc.call import (
     Invocation,
     PING_CALL_ID,
     RpcStatus,
+    frame_chunks,
 )
 from repro.rpc.callqueue import CallQueue, build_call_queue
 from repro.rpc.metrics import ReceiveProfile, RpcMetrics
@@ -58,31 +62,22 @@ from repro.simcore.process import Interrupt
 ENGINE_EXCEPTIONS = (Interrupt, AssertionError)  # SanitizerError is an AssertionError
 
 
-class SocketServerConnection:
-    """Server-side state of one accepted socket connection."""
+class ServerConnection:
+    """Server-side state of one connection: an accepted socket, or an
+    RPCoIB queue pair (whose protocol is known from the bootstrap)."""
 
-    _ids = itertools.count(1)
-
-    def __init__(self, sock: SimSocket):
-        self.id = next(self._ids)
+    def __init__(
+        self,
+        sock: Optional[SimSocket] = None,
+        qp: Optional[QueuePair] = None,
+        protocol_name: Optional[str] = None,
+    ):
         self.sock = sock
-        self.protocol_name: Optional[str] = None
-        self.scheduled = False  # queued in the readable list
-        #: the peer sent a BATCH_CALL_ID frame (a multiplexed client):
-        #: the responder may merge responses to this connection.
-        self.batch_aware = False
-
-
-class IBServerConnection:
-    """Server-side state of one established RPCoIB connection."""
-
-    _ids = itertools.count(1)
-
-    def __init__(self, qp: QueuePair, protocol_name: str):
-        self.id = next(self._ids)
         self.qp = qp
+        #: None on a socket until its ConnectionHeader frame is read.
         self.protocol_name = protocol_name
-        #: the peer sent a BATCH_CALL_ID post (a multiplexed client):
+        self.scheduled = False  # socket queued in the readable list
+        #: the peer sent a BATCH_CALL_ID frame (a multiplexed client):
         #: the responder may merge responses to this connection.
         self.batch_aware = False
 
@@ -91,7 +86,7 @@ class IBServerConnection:
 class ServerCall:
     """One decoded call waiting in the call queue."""
 
-    conn: Union[SocketServerConnection, IBServerConnection]
+    conn: ServerConnection
     call_id: int
     invocation: Invocation
     received_at: float
@@ -220,7 +215,7 @@ class Server:
         # clusters — e.g. RPC(IPoIB) clients against an IB-capable
         # server — still work; the flag gates *client* behaviour).
         self.cq: Store = Store(self.env)  # shared completion queue
-        self.ib_connections: List[IBServerConnection] = []
+        self.ib_connections: List[ServerConnection] = []
         self._pool: Optional[HistoryShadowPool] = None
         self._adaptive: Optional[AdaptiveTransport] = None
         self.listener_socket.ib_service = self  # discoverable at bootstrap
@@ -236,11 +231,13 @@ class Server:
 
         self._listener = self.env.process(self._listener_loop(), name=f"{self.name}:listener")
         self._readers = [
-            self.env.process(self._reader_loop(i), name=f"{self.name}:reader{i}")
+            self.env.process(
+                self._reader_loop(self.readable), name=f"{self.name}:reader{i}"
+            )
             for i in range(self.conf.get_int("ipc.server.reader.count"))
         ]
         self._ib_reader = self.env.process(
-            self._ib_reader_loop(), name=f"{self.name}:ib-reader"
+            self._reader_loop(self.cq), name=f"{self.name}:ib-reader"
         )
         self._handlers = [
             self.env.process(self._handler_loop(i), name=f"{self.name}:handler{i}")
@@ -328,7 +325,7 @@ class Server:
         server_endpoint = Endpoint(self.fabric, self.node, name=f"ep:{self.name}")
         client_qp, server_qp = QueuePair.pair(client_endpoint, server_endpoint)
         server_qp.cq = self.cq
-        conn = IBServerConnection(server_qp, protocol_name)
+        conn = ServerConnection(qp=server_qp, protocol_name=protocol_name)
         server_qp.owner = conn
         self.ib_connections.append(conn)
         return client_qp
@@ -337,7 +334,7 @@ class Server:
     def _listener_loop(self):
         while self.running:
             sock = yield self.listener_socket.accept()
-            conn = SocketServerConnection(sock)
+            conn = ServerConnection(sock=sock)
 
             def on_data(s, conn=conn):
                 if not conn.scheduled:
@@ -348,127 +345,128 @@ class Server:
             if sock.available:
                 on_data(sock)
 
-    # -- socket Reader (Listing 2) ----------------------------------------------
-    def _reader_loop(self, index: int):
+    # -- Readers -----------------------------------------------------------------
+    def _reader_loop(self, source: Store):
+        """A Reader thread: pull one frame, then decode and admit its calls.
+
+        Socket Readers take ready connections off the selector
+        (``readable``) and read one length-prefixed frame into per-call
+        heap buffers (Listing 2); the verbs Reader polls the shared
+        completion queue (``cq``) and deserializes straight from the
+        registered buffer.  Ping, single and batch frames then share one
+        decode-and-admit path.
+        """
         sw = self.model.software
+        verbs = source is self.cq
+        # A verbs completion costs one CQ poll + one per-connection
+        # event-poll scan; a socket read pays neither.
+        poll_us = sw.cq_poll_us if verbs else 0.0
+        scan_us = sw.server_ib_poll_scan_us if verbs else 0.0
         while self.running:
-            conn = yield self.readable.get()
-            receive_start = self.env.now
-            ledger = CostLedger(self.model)
-            mem = self.model.memory
-            try:
-                # ByteBuffer lenBuffer = ByteBuffer.allocate(4)
-                ledger.charge_heap_alloc(4)
-                header = yield conn.sock.recv(4)
-                length = int.from_bytes(header, "big")
-                # ByteBuffer data = ByteBuffer.allocate(len)  <- Fig. 1
-                ledger.charge_heap_alloc(length)
-                payload = yield conn.sock.recv(length)
-                ledger.charge_copy(length)  # native IO layer -> JVM heap
-            except SocketClosed:
-                continue
-            if conn.protocol_name is None:
-                # First frame on a connection is the ConnectionHeader.
+            got = yield source.get()
+            if verbs:
+                qp, message = got
+                conn = qp.owner
+                if isinstance(message, QPBreak):
+                    # Error completion: the QP died (fault injection or a
+                    # crashed peer).  Drop the server-side connection state.
+                    if conn in self.ib_connections:
+                        self.ib_connections.remove(conn)
+                    continue
+                receive_start = self.env.now
+                ledger = CostLedger(self.model)
+                inp = RDMAInputStream(message.data, message.length, ledger)
+                nbytes, traces, eager = message.length, qp, message.eager
+            else:
+                conn = got
+                receive_start = self.env.now
+                ledger = CostLedger(self.model)
+                try:
+                    # ByteBuffer lenBuffer = ByteBuffer.allocate(4)
+                    ledger.charge_heap_alloc(4)
+                    header = yield conn.sock.recv(4)
+                    nbytes = int.from_bytes(header, "big")
+                    # ByteBuffer data = ByteBuffer.allocate(len)  <- Fig. 1
+                    ledger.charge_heap_alloc(nbytes)
+                    payload = yield conn.sock.recv(nbytes)
+                    ledger.charge_copy(nbytes)  # native IO layer -> JVM heap
+                except SocketClosed:
+                    continue
                 inp = DataInputBuffer(payload, ledger)
+                traces, eager = conn.sock, None
+            if conn.protocol_name is None:
+                # First frame on a socket connection is the ConnectionHeader.
                 hdr = ConnectionHeader()
                 hdr.read_fields(inp)
                 conn.protocol_name = hdr.protocol
                 yield self.env.timeout(ledger.drain())
+            elif (call_id := inp.read_int()) == PING_CALL_ID:
+                # Keepalive frame (Hadoop Client.sendPing): consume and
+                # discard — liveness only, never queued.
+                yield self.env.timeout(ledger.drain() + poll_us)
+                self.ping_counter.add()
             else:
-                inp = DataInputBuffer(payload, ledger)
-                call_id = inp.read_int()
-                if call_id == PING_CALL_ID:
-                    # Keepalive frame (Hadoop Client.sendPing): consume
-                    # and discard — liveness only, never queued.
-                    yield self.env.timeout(ledger.drain())
-                    self.ping_counter.add()
-                elif call_id == BATCH_CALL_ID:
-                    # A multiplexed client's batched frame: one socket
-                    # read amortized over every sub-call.  Each sub-call
-                    # still pays its own decode + dispatch and is queued
-                    # (or rejected) individually — batching changes the
-                    # wire and syscall schedule, never call semantics.
+                poll, scan = poll_us, scan_us
+                count, sub_len = 1, nbytes
+                batch = call_id == BATCH_CALL_ID
+                if batch:
+                    # A multiplexed client's window in one frame: one read
+                    # — on verbs one completion, polled and scanned once —
+                    # amortized over every sub-call.  Each sub-call still
+                    # pays its own decode + dispatch and is queued (or
+                    # rejected) individually: batching changes the wire
+                    # and syscall schedule, never call semantics.
                     conn.batch_aware = True
                     count = inp.read_int()
-                    alloc_seen = 0.0
-                    for _ in range(count):
+                    if verbs:
+                        yield self.env.timeout(ledger.drain() + poll + scan)
+                        poll = scan = 0.0
+                alloc_seen = 0.0
+                for _ in range(count):
+                    if batch:
                         sub_len = inp.read_int()
-                        sub_id = inp.read_int()
-                        invocation = Invocation()
-                        invocation.read_fields(inp)
-                        yield self.env.timeout(
-                            ledger.drain() + sw.handler_dispatch_us
-                        )
-                        # Attribute allocation deltas to the sub-call
-                        # that incurred them (the frame buffers land on
-                        # the first one).
+                        call_id = inp.read_int()
+                    invocation = Invocation()
+                    invocation.read_fields(inp)
+                    yield self.env.timeout(
+                        ledger.drain() + poll + scan + sw.handler_dispatch_us
+                    )
+                    # Listing 2's per-call heap buffers (len buffer, data
+                    # buffer, the Writables' backing arrays), attributed to
+                    # the sub-call that incurred them (the frame buffers
+                    # land on the first one).  The JVM-bypass verbs receive
+                    # allocates nothing.
+                    alloc_us = 0.0
+                    if not verbs:
                         alloc_total = ledger.category("alloc")
                         alloc_us = alloc_total - alloc_seen
                         alloc_seen = alloc_total
-                        self.metrics.record_receive(
-                            ReceiveProfile(
-                                protocol=conn.protocol_name,
-                                method=invocation.method,
-                                alloc_us=alloc_us,
-                                receive_total_us=self.env.now - receive_start,
-                                payload_bytes=sub_len,
-                            )
-                        )
-                        ref = conn.sock.pop_trace()
-                        if ref is not None:
-                            if ref.sent_at:
-                                self.tracer.complete(
-                                    "rpc.wire", ref.sent_at, receive_start,
-                                    parent=ref, node=self.node.name,
-                                    category="net", bytes=sub_len,
-                                    batched=count,
-                                )
-                            self.tracer.complete(
-                                "rpc.server.receive", receive_start,
-                                self.env.now, parent=ref,
-                                node=self.node.name, category="rpc.server",
-                                protocol=conn.protocol_name,
-                                method=invocation.method,
-                                alloc_us=alloc_us, payload_bytes=sub_len,
-                                batched=count,
-                            )
-                        scall = ServerCall(
-                            conn, sub_id, invocation, self.env.now, trace=ref
-                        )
-                        rejection = self.call_queue.try_reserve(scall)
-                        if rejection is None:
-                            yield self.call_queue.put(scall)
-                            self.queue_depth.inc()
-                        else:
-                            yield from self._reject_call(scall, rejection)
-                else:
-                    invocation = Invocation()
-                    invocation.read_fields(inp)
-                    yield self.env.timeout(ledger.drain() + sw.handler_dispatch_us)
                     self.metrics.record_receive(
                         ReceiveProfile(
                             protocol=conn.protocol_name,
                             method=invocation.method,
-                            # all per-call heap buffer allocations of the
-                            # Listing-2 path (len buffer, data buffer, and
-                            # the Writables' backing arrays)
-                            alloc_us=ledger.category("alloc"),
+                            alloc_us=alloc_us,
                             receive_total_us=self.env.now - receive_start,
-                            payload_bytes=length,
+                            payload_bytes=sub_len,
                         )
                     )
-                    ref = conn.sock.pop_trace()
+                    ref = traces.pop_trace()
                     if ref is not None:
+                        tags = {"batched": count} if batch else {}
                         if ref.sent_at:
                             self.tracer.complete(
-                                "rpc.wire", ref.sent_at, receive_start, parent=ref,
-                                node=self.node.name, category="net", bytes=length,
+                                "rpc.wire", ref.sent_at, receive_start,
+                                parent=ref, node=self.node.name,
+                                category="net", bytes=sub_len,
+                                **({"eager": eager, **tags} if verbs else tags),
                             )
                         self.tracer.complete(
-                            "rpc.server.receive", receive_start, self.env.now,
-                            parent=ref, node=self.node.name, category="rpc.server",
-                            protocol=conn.protocol_name, method=invocation.method,
-                            alloc_us=ledger.category("alloc"), payload_bytes=length,
+                            "rpc.server.receive", receive_start,
+                            self.env.now, parent=ref, node=self.node.name,
+                            category="rpc.server",
+                            protocol=conn.protocol_name,
+                            method=invocation.method, alloc_us=alloc_us,
+                            payload_bytes=sub_len, **tags,
                         )
                     scall = ServerCall(
                         conn, call_id, invocation, self.env.now, trace=ref
@@ -479,127 +477,12 @@ class Server:
                         self.queue_depth.inc()
                     else:
                         yield from self._reject_call(scall, rejection)
-            self._heap.absorb(ledger)
-            conn.scheduled = False
-            if conn.sock.available > 0 and not conn.scheduled:
-                conn.scheduled = True
-                yield self.readable.put(conn)
-
-    # -- RPCoIB Reader ----------------------------------------------------------
-    def _ib_reader_loop(self):
-        sw = self.model.software
-        while self.running:
-            qp, message = yield self.cq.get()
-            if isinstance(message, QPBreak):
-                # Error completion: the QP died (fault injection or a
-                # crashed peer).  Drop the server-side connection state.
-                conn = qp.owner
-                if conn in self.ib_connections:
-                    self.ib_connections.remove(conn)
-                continue
-            receive_start = self.env.now
-            conn: IBServerConnection = qp.owner
-            ledger = CostLedger(self.model)
-            inp = RDMAInputStream(message.data, message.length, ledger)
-            call_id = inp.read_int()
-            if call_id == PING_CALL_ID:
-                # Keepalive over the verbs engine: poll cost, no queueing.
-                yield self.env.timeout(ledger.drain() + sw.cq_poll_us)
-                self.ping_counter.add()
-                continue
-            if call_id == BATCH_CALL_ID:
-                # Aggregated post from a multiplexed RPCoIB client: one
-                # completion (one poll + one event-scan) for the whole
-                # window; each sub-call still pays decode + dispatch.
-                conn.batch_aware = True
-                count = inp.read_int()
-                yield self.env.timeout(
-                    ledger.drain() + sw.cq_poll_us + sw.server_ib_poll_scan_us
-                )
-                for _ in range(count):
-                    sub_len = inp.read_int()
-                    sub_id = inp.read_int()
-                    invocation = Invocation()
-                    invocation.read_fields(inp)
-                    yield self.env.timeout(
-                        ledger.drain() + sw.handler_dispatch_us
-                    )
-                    self.metrics.record_receive(
-                        ReceiveProfile(
-                            protocol=conn.protocol_name,
-                            method=invocation.method,
-                            alloc_us=0.0,  # JVM-bypass: no receive alloc
-                            receive_total_us=self.env.now - receive_start,
-                            payload_bytes=sub_len,
-                        )
-                    )
-                    ref = qp.pop_trace()
-                    if ref is not None:
-                        if ref.sent_at:
-                            self.tracer.complete(
-                                "rpc.wire", ref.sent_at, receive_start,
-                                parent=ref, node=self.node.name,
-                                category="net", bytes=sub_len,
-                                eager=message.eager, batched=count,
-                            )
-                        self.tracer.complete(
-                            "rpc.server.receive", receive_start, self.env.now,
-                            parent=ref, node=self.node.name,
-                            category="rpc.server",
-                            protocol=conn.protocol_name,
-                            method=invocation.method,
-                            alloc_us=0.0, payload_bytes=sub_len,
-                            batched=count,
-                        )
-                    scall = ServerCall(
-                        conn, sub_id, invocation, self.env.now, trace=ref
-                    )
-                    rejection = self.call_queue.try_reserve(scall)
-                    if rejection is None:
-                        yield self.call_queue.put(scall)
-                        self.queue_depth.inc()
-                    else:
-                        yield from self._reject_call(scall, rejection)
-                continue
-            invocation = Invocation()
-            invocation.read_fields(inp)
-            # cq poll + per-connection event-poll scan + dispatch
-            yield self.env.timeout(
-                ledger.drain()
-                + sw.cq_poll_us
-                + sw.server_ib_poll_scan_us
-                + sw.handler_dispatch_us
-            )
-            self.metrics.record_receive(
-                ReceiveProfile(
-                    protocol=conn.protocol_name,
-                    method=invocation.method,
-                    alloc_us=0.0,  # JVM-bypass: no receive-side allocation
-                    receive_total_us=self.env.now - receive_start,
-                    payload_bytes=message.length,
-                )
-            )
-            ref = qp.pop_trace()
-            if ref is not None:
-                if ref.sent_at:
-                    self.tracer.complete(
-                        "rpc.wire", ref.sent_at, receive_start, parent=ref,
-                        node=self.node.name, category="net",
-                        bytes=message.length, eager=message.eager,
-                    )
-                self.tracer.complete(
-                    "rpc.server.receive", receive_start, self.env.now,
-                    parent=ref, node=self.node.name, category="rpc.server",
-                    protocol=conn.protocol_name, method=invocation.method,
-                    alloc_us=0.0, payload_bytes=message.length,
-                )
-            scall = ServerCall(conn, call_id, invocation, self.env.now, trace=ref)
-            rejection = self.call_queue.try_reserve(scall)
-            if rejection is None:
-                yield self.call_queue.put(scall)
-                self.queue_depth.inc()
-            else:
-                yield from self._reject_call(scall, rejection)
+            if not verbs:
+                self._heap.absorb(ledger)
+                conn.scheduled = False
+                if conn.sock.available > 0 and not conn.scheduled:
+                    conn.scheduled = True
+                    yield self.readable.put(conn)
 
     def _reject_call(self, scall: ServerCall, rejection):
         """Serialize a call-queue rejection back to the caller.
@@ -697,46 +580,37 @@ class Server:
             yield self.response_queue.put(response)
 
     def _serialize_response(self, scall: ServerCall, status, result, error):
-        """Engine-specific response serialization, charged to the handler."""
+        """Serialize a response for the connection's engine, charged to
+        the handler: straight into a pooled registered buffer on RPCoIB,
+        or a DataOutputBuffer framed for the socket stream."""
+        conn = scall.conn
         ledger = CostLedger(self.model)
-        if isinstance(scall.conn, IBServerConnection):
+        if conn.qp is not None:
             out = RDMAOutputStream(
-                self.pool,
-                scall.conn.protocol_name,
-                scall.invocation.method + "#resp",
-                ledger,
+                self.pool, conn.protocol_name,
+                scall.invocation.method + "#resp", ledger,
             )
-            out.write_int(scall.call_id)
-            out.write_byte(int(status))
-            if status == RpcStatus.SUCCESS:
-                ObjectWritable(result).write(out)
-            else:
-                out.write_utf(error[0])
-                out.write_utf(error[1])
-            yield self.env.timeout(ledger.drain())
-            return ("ib", scall.conn, out, scall.trace)
-        conf = self.conf
-        if conf.version != self._conf_stamp:
-            self._resp_buf_initial = conf.get_int("io.server.buffer.initial.size")
-            self._conf_stamp = conf.version
-        buf = DataOutputBuffer(ledger, initial_size=self._resp_buf_initial)
-        buf.write_int(scall.call_id)
-        buf.write_byte(int(status))
-        if status == RpcStatus.SUCCESS:
-            ObjectWritable(result).write(buf)
         else:
-            buf.write_utf(error[0])
-            buf.write_utf(error[1])
-        sink = VectorSink()
-        buffered = BufferedOutputStream(sink, ledger)
-        out_stream = DataOutputStream(buffered, ledger)
-        out_stream.write_int(buf.get_length())
-        buffered.write_bytes(buf.get_view())
-        out_stream.flush()
+            conf = self.conf
+            if conf.version != self._conf_stamp:
+                self._resp_buf_initial = conf.get_int("io.server.buffer.initial.size")
+                self._conf_stamp = conf.version
+            out = DataOutputBuffer(ledger, initial_size=self._resp_buf_initial)
+        out.write_int(scall.call_id)
+        out.write_byte(int(status))
+        if status == RpcStatus.SUCCESS:
+            ObjectWritable(result).write(out)
+        else:
+            out.write_utf(error[0])
+            out.write_utf(error[1])
+        if conn.qp is not None:
+            yield self.env.timeout(ledger.drain())
+            return conn, out, scall.trace
+        # Chunk list (gather write): the socket joins it exactly once.
+        frame = frame_chunks(out.get_view(), ledger)
         yield self.env.timeout(ledger.drain())
         self._heap.absorb(ledger)
-        # Chunk list (gather write): the socket joins it exactly once.
-        return ("socket", scall.conn, sink.chunks, scall.trace)
+        return conn, frame, scall.trace
 
     # -- Responder -------------------------------------------------------------------
     #: most responses the Responder folds into one wire frame for a
@@ -744,7 +618,7 @@ class Server:
     #: client must buffer and the latency penalty of the last merge.
     RESPONSE_BATCH_MAX = 64
 
-    def _take_merged(self, kind: str, conn) -> list:
+    def _take_merged(self, conn) -> list:
         """Pull every queued response bound for the same connection.
 
         The single Responder thread is the server's write bottleneck
@@ -761,7 +635,7 @@ class Server:
         keep: list = []
         limit = self.RESPONSE_BATCH_MAX - 1
         for item in items:
-            if len(extras) < limit and item[0] == kind and item[1] is conn:
+            if len(extras) < limit and item[0] is conn:
                 extras.append(item)
             else:
                 keep.append(item)
@@ -771,124 +645,94 @@ class Server:
             items.extend(keep)
         return extras
 
-    def _respond_merged(self, kind: str, conn, entries, threshold: int):
-        """Write ``entries`` (≥2 responses, one connection) as a batch.
-
-        Wire format mirrors the request side: ``[BATCH_CALL_ID][count]``
-        then length-prefixed per-response frames, byte-identical to
-        what each response would have carried alone.  The 8-byte batch
-        header rides in the same gather write, so no extra syscall or
-        post is charged for it.
-        """
-        count = len(entries)
-        self.responses_merged += count - 1
-        spans = []
-        for _, _, _, ref in entries:
-            spans.append(
-                self.tracer.start(
-                    "rpc.server.respond", parent=ref, node=self.node.name,
-                    category="rpc.server",
-                ) if ref is not None else None
-            )
-        if kind == "ib":
-            parts = [struct.pack(">ii", BATCH_CALL_ID, count)]
-            lengths = []
-            for _, _, stream, _ in entries:
-                buffer, length = stream.detach()
-                lengths.append(length)
-                parts.append(struct.pack(">i", length))
-                with memoryview(buffer.data) as view:
-                    parts.append(bytes(view[:length]))
-                stream.release()  # pooled buffer recycles immediately
-            message = b"".join(parts)
-            try:
-                yield conn.qp.post_send(message, rdma_threshold=threshold)
-            except QPBrokenError:
-                for rspan in spans:
-                    if rspan is not None:
-                        rspan.annotate("error", "QPBrokenError").end()
-                return
-            for rspan, length in zip(spans, lengths):
-                if rspan is not None:
-                    rspan.annotate("response_bytes", length)
-                    rspan.annotate("merged", count)
-                    rspan.end()
-            return
-        body = 0
-        chunks: list = [None]  # placeholder for the batch header
-        lengths = []
-        for _, _, payload, _ in entries:
-            sub = sum(len(chunk) for chunk in payload)
-            body += sub
-            lengths.append(sub)
-            chunks.extend(payload)
-        chunks[0] = struct.pack(">iii", 8 + body, BATCH_CALL_ID, count)
-        try:
-            yield conn.sock.send(chunks)
-        except SocketClosed:
-            for rspan in spans:
-                if rspan is not None:
-                    rspan.annotate("error", "SocketClosed").end()
-            return
-        for rspan, length in zip(spans, lengths):
-            if rspan is not None:
-                rspan.annotate("response_bytes", length)
-                rspan.annotate("merged", count)
-                rspan.end()
-
     def _responder_loop(self):
+        """Post each response on its connection's engine — or, for a
+        batch-aware connection with a backlog, the merged batch.
+
+        A merged batch mirrors the request side: ``[BATCH_CALL_ID][count]``
+        then length-prefixed per-response frames, byte-identical to what
+        each response would have carried alone.  The batch header rides
+        in the same gather write or post, so no extra syscall or post is
+        charged for it.
+        """
         sw = self.model.software
-        threshold = self.conf.get_int("rpc.ib.rdma.threshold")
         while self.running:
-            kind, conn, payload, ref = yield self.response_queue.get()
+            first = yield self.response_queue.get()
+            conn = first[0]
             # Merge-before-handoff: the backlog inspection happens in
             # the same scheduler step as the get, so one thread handoff
             # covers the whole merged group.
-            extras = self._take_merged(kind, conn) if conn.batch_aware else []
+            entries = [first] + self._take_merged(conn) if conn.batch_aware else [first]
             yield self.env.timeout(sw.thread_handoff_us)
-            if extras:
-                yield from self._respond_merged(
-                    kind, conn, [(kind, conn, payload, ref)] + extras, threshold
-                )
-                continue
-            rspan = self.tracer.start(
-                "rpc.server.respond", parent=ref, node=self.node.name,
-                category="rpc.server",
-            ) if ref is not None else None
-            if kind == "ib":
-                stream: RDMAOutputStream = payload
-                buffer, length = stream.detach()
-                # Same hoisted decision as the client: the response's
-                # call kind ("method#resp") consults the server pool's
-                # size predictor, so confidently predicted-large
-                # responses pre-advertise their target buffer.
-                choice = self.adaptive.choose(
-                    stream.protocol, stream.method, length
-                )
-                try:
-                    yield conn.qp.post_send(buffer, length, choice=choice)
-                except QPBrokenError:
-                    stream.release()
-                    if rspan is not None:
-                        rspan.annotate("error", "QPBrokenError").end()
-                    continue
-                stream.release()
-                if rspan is not None:
-                    rspan.annotate("response_bytes", length)
+            count = len(entries)
+            if count > 1:
+                self.responses_merged += count - 1
+            spans = []
+            for _, _, ref in entries:
+                spans.append(self.tracer.start(
+                    "rpc.server.respond", parent=ref, node=self.node.name,
+                    category="rpc.server",
+                ) if ref is not None else None)
+            sizes = None  # per-response bytes; socket singles count lazily
+            tags = [("merged", count)] if count > 1 else []
+            error = None
+            try:
+                if conn.qp is None and count == 1:
+                    yield conn.sock.send(first[1])
+                elif conn.qp is None:
+                    sizes = [
+                        sum(len(chunk) for chunk in frame) for _, frame, _ in entries
+                    ]
+                    chunks = [struct.pack(">iii", 8 + sum(sizes), BATCH_CALL_ID, count)]
+                    for _, frame, _ in entries:
+                        chunks.extend(frame)
+                    yield conn.sock.send(chunks)
+                elif count == 1:
+                    stream = first[1]
+                    buffer, length = stream.detach()
+                    sizes = [length]
+                    # Same hoisted decision as the client: the response's
+                    # call kind ("method#resp") consults the server pool's
+                    # size predictor, so confidently predicted-large
+                    # responses pre-advertise their target buffer.
+                    choice = self.adaptive.choose(stream.protocol, stream.method, length)
                     if choice.source != "static":
-                        rspan.annotate("eager", choice.eager)
-                        rspan.annotate("transport_source", choice.source)
-                        rspan.annotate("preposted", choice.preposted)
-                    rspan.end()
-            else:
-                try:
-                    yield conn.sock.send(payload)
-                except SocketClosed:
-                    if rspan is not None:
-                        rspan.annotate("error", "SocketClosed").end()
-                    continue
-                if rspan is not None:
-                    rspan.annotate(
-                        "response_bytes", sum(len(chunk) for chunk in payload)
+                        tags = [
+                            ("eager", choice.eager),
+                            ("transport_source", choice.source),
+                            ("preposted", choice.preposted),
+                        ]
+                    yield conn.qp.post_send(buffer, length, choice=choice)
+                else:
+                    parts = [struct.pack(">ii", BATCH_CALL_ID, count)]
+                    sizes = []
+                    for _, stream, _ in entries:
+                        buffer, length = stream.detach()
+                        sizes.append(length)
+                        parts.append(struct.pack(">i", length))
+                        with memoryview(buffer.data) as view:
+                            parts.append(bytes(view[:length]))
+                        stream.release()  # pooled buffer recycles immediately
+                    # The eager/RDMA threshold is read live, so a hot
+                    # reload reaches merged posts as it does single ones.
+                    yield conn.qp.post_send(
+                        b"".join(parts),
+                        rdma_threshold=self.conf.get_int("rpc.ib.rdma.threshold"),
                     )
-                    rspan.end()
+            except (QPBrokenError, SocketClosed) as exc:
+                error = type(exc).__name__
+            if conn.qp is not None and count == 1:
+                first[1].release()  # the post snapshotted the payload
+            for i, rspan in enumerate(spans):
+                if rspan is None:
+                    continue
+                if error is not None:
+                    rspan.annotate("error", error).end()
+                    continue
+                rspan.annotate(
+                    "response_bytes",
+                    sizes[i] if sizes else sum(len(chunk) for chunk in first[1]),
+                )
+                for key, value in tags:
+                    rspan.annotate(key, value)
+                rspan.end()

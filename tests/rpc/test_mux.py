@@ -10,6 +10,7 @@ keeper per *mux*, not per caller) and stranded callers on ``close()``.
 import pytest
 
 from repro.io.writables import Text
+from repro.net.verbs import QueuePair
 from repro.obs.runtime import obs_session
 from repro.rpc.call import Call, RetriesExhaustedError
 from repro.rpc.client import BaseConnection
@@ -177,3 +178,42 @@ def test_mux_queue_wait_is_a_traced_span(ib):
     assert all(s.finished for s in queue_spans)
     assert {s.attrs["window"] for s in queue_spans} == {2}
     assert any(s.attrs["batch_size"] > 1 for s in queue_spans)
+
+
+def test_merged_rpcoib_responses_follow_a_hot_reloaded_rdma_threshold(
+    monkeypatch,
+):
+    """Lowering ``rpc.ib.rdma.threshold`` mid-run reaches the merged
+    responses too: after the reload every server post goes RDMA, batch
+    or single (a responder that cached the threshold at start kept
+    posting merged batches eager)."""
+    harness = mux_harness(ib=True, window=32)
+    env = harness.env
+    reload_at = 2_000.0
+    posts = []  # (post time, queue pair, eager) — logged at post time
+    original = QueuePair._send_proc
+
+    def logging_send_proc(self, payload, choice, context, trace=None):
+        posts.append((env.now, self, choice.eager))
+        return original(self, payload, choice, context, trace)
+
+    monkeypatch.setattr(QueuePair, "_send_proc", logging_send_proc)
+    merged_at_reload = []
+
+    def caller(i):
+        for k in range(4):
+            yield harness.proxy.echo(Text(f"{i}:{k}:" + "x" * 64))
+
+    def operator():
+        yield env.timeout(reload_at)
+        merged_at_reload.append(harness.server.responses_merged)
+        harness.conf.set("rpc.ib.rdma.threshold", 16)
+
+    procs = [env.process(caller(i), name=f"caller{i}") for i in range(64)]
+    env.process(operator(), name="operator")
+    env.run(env.all_of(procs))
+
+    server_qps = {conn.qp for conn in harness.server.ib_connections}
+    after = [eager for at, qp, eager in posts if qp in server_qps and at > reload_at]
+    assert merged_at_reload and harness.server.responses_merged > merged_at_reload[0]
+    assert after and not any(after)

@@ -8,17 +8,19 @@ The three mux invariants from the PR acceptance list:
   even under a mid-stream QP-break fault schedule;
 * the batched wire frame is byte-identical to the concatenation of the
   per-call frames the call-at-a-time path would have sent (checked
-  both on the pure helpers and against the real encoder's wire bytes).
+  both on the pure helpers and against the real encoders' wire bytes,
+  on sockets and on RPCoIB).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.io.writables import Text
+from repro.net.verbs import QueuePair
 from repro.rpc.call import BATCH_CALL_ID, Call
+from repro.rpc.client import IBConnection, SocketConnection
 from repro.rpc.mux import (
     ConnectionMux,
-    MuxSocketConnection,
     batch_frame_chunks,
     call_frame_bytes,
 )
@@ -168,27 +170,32 @@ def test_batch_frame_is_concatenation_of_call_frames(payloads):
     assert wire[12:] == b"".join(call_frame_bytes(p) for p in payloads)
 
 
-@given(nc=st.integers(min_value=2, max_value=12))
+@given(nc=st.integers(min_value=2, max_value=12), ib=st.booleans())
+@example(nc=4, ib=False)
+@example(nc=4, ib=True)
 @settings(max_examples=8, deadline=None)
-def test_real_encoder_matches_the_canonical_batch_bytes(nc):
-    """The sender's actual DataOutputStream/VectorSink framing produces
-    byte-identical output to the pure ``batch_frame_chunks`` helper fed
-    the same encoded call payloads."""
-    harness = _mux_harness(ib=False, window=max(2, nc))
+def test_real_encoder_matches_the_canonical_batch_bytes(nc, ib):
+    """The sender's actual framing produces byte-identical output to the
+    pure ``batch_frame_chunks`` helper fed the same encoded call
+    payloads: the socket flush (DataOutputStream/VectorSink) carries the
+    whole image, the aggregated RPCoIB post the image after its 4-byte
+    total (a verbs completion delimits itself)."""
+    harness = _mux_harness(ib=ib, window=max(2, nc))
     env = harness.env
     captured = []
-    original_send_batch = MuxSocketConnection._send_batch
+    transport = IBConnection if ib else SocketConnection
+    original_send_batch = transport._send_batch
 
     def capturing_send_batch(self, batch):
-        sent_before = self.sock.bytes_sent
+        sent_before = 0 if ib else self.sock.bytes_sent
         yield from original_send_batch(self, batch)
         captured.append((
             [bytes(entry[1][: entry[2]]) for entry in batch],
-            self.sock.bytes_sent - sent_before,
+            None if ib else self.sock.bytes_sent - sent_before,
         ))
 
     sends = []
-    MuxSocketConnection._send_batch = capturing_send_batch
+    transport._send_batch = capturing_send_batch
     try:
 
         def caller(i):
@@ -201,6 +208,7 @@ def test_real_encoder_matches_the_canonical_batch_bytes(nc):
         from repro.net import sockets as simsockets
 
         original_send = simsockets.SimSocket.send
+        original_post = QueuePair.post_send
 
         def capturing_send(self, data, trace=None):
             # batch frames are the only sends carrying a list trace
@@ -209,17 +217,32 @@ def test_real_encoder_matches_the_canonical_batch_bytes(nc):
                 sends.append(b"".join(bytes(c) for c in data))
             return original_send(self, data, trace=trace)
 
+        def capturing_post(self, data, length=None, rdma_threshold=4096,
+                           context=None, trace=None, choice=None):
+            # likewise the only verbs posts carrying a list trace
+            if type(trace) is list:
+                with memoryview(data) as view:
+                    sends.append(bytes(view[:length]))
+            return original_post(
+                self, data, length, rdma_threshold, context, trace, choice
+            )
+
         simsockets.SimSocket.send = capturing_send
+        QueuePair.post_send = capturing_post
         try:
             env.run(env.all_of(procs))
         finally:
             simsockets.SimSocket.send = original_send
+            QueuePair.post_send = original_post
     finally:
-        MuxSocketConnection._send_batch = original_send_batch
+        transport._send_batch = original_send_batch
 
     assert captured and len(sends) >= len(captured)
     batch_sends = [w for w in sends if len(w) >= 8]
     for (payloads, nbytes), wire in zip(captured, batch_sends):
         expected = b"".join(bytes(c) for c in batch_frame_chunks(payloads))
-        assert wire == expected
-        assert nbytes == len(expected)
+        if ib:
+            assert wire == expected[4:]
+        else:
+            assert wire == expected
+            assert nbytes == len(expected)
