@@ -115,7 +115,6 @@ class Configuration:
         "dfs.replication.min": 1,
         "dfs.block.size": 64 * 1024 * 1024,
         "dfs.heartbeat.interval": 3_000_000.0,  # usec (3 s)
-        "dfs.packet.size": 64 * 1024,
         # -- NameNode HA (repro.ha) -----------------------------------------
         "dfs.ha.failover.check.interval": 150_000.0,  # usec between probes
         "dfs.ha.failover.probe.timeout": 200_000.0,  # usec per-probe deadline
@@ -135,7 +134,6 @@ class Configuration:
         # heap limit (35% of a 1 GB heap) forces flushes far earlier —
         # this is the server-level pressure point we model.
         "hbase.hregion.memstore.flush.size": 8 * 1024 * 1024,
-        "hbase.client.write.buffer": 2 * 1024 * 1024,
         "hbase.blockcache.size": 200 * 1024 * 1024,
     }
 
