@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, TypeVar,
+)
+
+T = TypeVar("T")
 
 
 class Configuration:
@@ -35,8 +39,8 @@ class Configuration:
         # advertisement pre-posted (overlapped with serialization, the
         # cheaper rdma_prepost_us instead of rdma_rendezvous_us).  Off
         # by default — the static-threshold event schedule is preserved
-        # exactly unless a workload opts in.  Both keys hot-reload: the
-        # transport revalidates them on every conf.version change.
+        # exactly unless a workload opts in.  Both keys hot-reload (see
+        # RELOADABLE below).
         "ipc.ib.adaptive.enabled": False,
         # Consecutive same-size-class observations of a call kind before
         # its prediction is trusted; below this the static threshold
@@ -137,17 +141,47 @@ class Configuration:
         "hbase.blockcache.size": 200 * 1024 * 1024,
     }
 
+    #: Keys the runtime re-reads after construction, each through a
+    #: :meth:`view`: a write mid-run takes effect at the key's next use.
+    #: Lint rule SIM010 flags an init-time cache of any of them that
+    #: bypasses a view.
+    RELOADABLE: FrozenSet[str] = frozenset(
+        {
+            # repro.rpc.client.Client, per call
+            "ipc.client.call.timeout",
+            "ipc.client.call.max.retries",
+            "ipc.client.call.retry.interval",
+            "io.buffer.initial.size",
+            "ipc.client.async.enabled",
+            # repro.rpc.mux.ConnectionMux, per batch
+            "ipc.client.async.max-inflight",
+            # repro.rpc.server.Server, per socket response
+            "io.server.buffer.initial.size",
+            # repro.rpc.callqueue.FairCallQueue, per admit / drain
+            "ipc.callqueue.fair.weights",
+            "decay-scheduler.thresholds",
+            # repro.net.verbs.AdaptiveTransport, per RPCoIB send
+            "rpc.ib.rdma.threshold",
+            "ipc.ib.adaptive.enabled",
+            "ipc.ib.adaptive.confidence",
+            # repro.rpc.failover.FailoverProxy, per call
+            "ipc.client.failover.max.attempts",
+            "ipc.client.failover.sleep.base",
+            "ipc.client.failover.sleep.max",
+            "ipc.client.failover.retry.policy",
+            "ipc.client.failover.jitter",
+            # repro.ha.controller.FailoverController, per probe round
+            "dfs.ha.failover.check.interval",
+            "dfs.ha.failover.failure.threshold",
+        }
+    )
+
     def __init__(self, values: Optional[Mapping[str, Any]] = None):
         self._values: Dict[str, Any] = dict(self.DEFAULTS)
         if values:
             self._values.update(values)
-        #: Mutation stamp: bumped by every write so hot paths may cache
-        #: parsed values and revalidate with a single int comparison.
-        self.version = 0
-        #: Change listeners (``fn(conf, changed_keys)``), notified after
-        #: every mutation — the hot-reload hook servers subscribe to.
-        #: Deliberately not carried by :meth:`copy`.
-        self._listeners: List[Callable[["Configuration", tuple], None]] = []
+        # Mutation stamp: bumped by every write; views compare it.
+        self._version = 0
 
     # -- typed getters -----------------------------------------------------
     def get(self, key: str, default: Any = None) -> Any:
@@ -190,45 +224,37 @@ class Configuration:
     # -- mutation ----------------------------------------------------------
     def set(self, key: str, value: Any) -> "Configuration":
         self._values[key] = value
-        self.version += 1
-        self._notify((key,))
+        self._version += 1
         return self
 
     def update(self, values: Mapping[str, Any]) -> "Configuration":
         self._values.update(values)
-        self.version += 1
-        self._notify(tuple(values))
+        self._version += 1
         return self
 
     def copy(self) -> "Configuration":
         return Configuration(self._values)
 
-    # -- change notification (hot reload) ----------------------------------
-    def subscribe(
-        self, listener: Callable[["Configuration", tuple], None]
-    ) -> Callable[["Configuration", tuple], None]:
-        """Register ``listener(conf, changed_keys)`` for every mutation.
+    # -- hot reload --------------------------------------------------------
+    def view(self, parse: Callable[["Configuration"], T]) -> Callable[[], T]:
+        """A cached ``parse(self)`` that re-runs on the first read after
+        any write — how components hold the :attr:`RELOADABLE` keys.
 
-        Listeners run synchronously inside the mutating call, in
-        subscription order — deterministic, and never touching the
-        simulated event queue themselves.  Returns the listener so the
-        caller can hold it for :meth:`unsubscribe`.
+        A read costs one int comparison, so hot paths (a call, a batch,
+        a send) read their tunables through a view on every use, and a
+        write mid-run — say, by a :class:`ConfigWatcher` — lands at the
+        next one.
         """
-        self._listeners.append(listener)
-        return listener
+        parsed_at, value = -1, None
 
-    def unsubscribe(
-        self, listener: Callable[["Configuration", tuple], None]
-    ) -> None:
-        """Remove a listener; unknown listeners are ignored."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
+        def read() -> T:
+            nonlocal parsed_at, value
+            if parsed_at != self._version:
+                value = parse(self)
+                parsed_at = self._version
+            return value
 
-    def _notify(self, changed: tuple) -> None:
-        for listener in list(self._listeners):
-            listener(self, changed)
+        return read
 
     # -- mapping protocol -----------------------------------------------------
     def __contains__(self, key: str) -> bool:
@@ -239,8 +265,7 @@ class Configuration:
 
     def __setitem__(self, key: str, value: Any) -> None:
         self._values[key] = value
-        self.version += 1
-        self._notify((key,))
+        self._version += 1
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._values)
@@ -315,10 +340,11 @@ class ConfigWatcher:
 
     The watcher is one simulation process: it sleeps until each update's
     ``at_us`` (stable-sorted, so same-time updates apply in plan order)
-    and calls ``conf.update(values)`` — the mutation notifies every
-    subscribed component (servers re-reading QoS weights/thresholds)
-    synchronously at that exact simulated instant.  ``applied`` records
-    ``{"t_us", "keys"}`` rows for the run artifacts.
+    and calls ``conf.update(values)`` at that exact simulated instant.
+    Components read the keys through :meth:`Configuration.view`, so each
+    sees the update at its next use of the key (a fair call queue: the
+    threshold ladder at its next admit, the weights at its next drain).
+    ``applied`` records ``{"t_us", "keys"}`` rows for the run artifacts.
     """
 
     def __init__(self, env, conf: Configuration, updates, name: str = ""):

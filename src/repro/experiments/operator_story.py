@@ -15,10 +15,10 @@ The end-to-end story the live-observability plane exists for:
    gauges, the per-priority queue depths — and identifies the abuser.
 3. A :class:`repro.config.ConfigWatcher` applies the fix at
    ``RELOAD_AT_US`` *mid-run*: Hadoop's default weights (``8,4,2,1``)
-   and threshold ladder (``0.125,0.25,0.5``).  The subscription
-   machinery re-tunes the live queue synchronously; the scheduler's
-   retained decayed counts demote ``t0`` to the lowest priority at that
-   exact simulated instant.
+   and threshold ladder (``0.125,0.25,0.5``).  The live queue reads both
+   through a configuration view: the ladder applies at its next admit,
+   where the scheduler's retained decayed counts demote ``t0`` to the
+   lowest priority, and the weights at its next drain.
 4. Victim calls are windowed by *start time*: ``pre`` = started before
    the reload, ``post`` = started after reload + settle.  The headline
    asserts the acceptance bar — post-reload victim p99 recovers by at

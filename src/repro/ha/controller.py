@@ -90,19 +90,12 @@ class FailoverController:
         self._failover_counter = fabric.metrics.counter(
             "ha.failovers", node=node.name
         )
-        self._conf_stamp = -1
-        self._conf_parsed = (0.0, 0)
+        #: (probe interval, failure threshold), re-read per probe round.
+        self._controller_conf = self.conf.view(lambda conf: (
+            conf.get_float("dfs.ha.failover.check.interval"),
+            conf.get_int("dfs.ha.failover.failure.threshold"),
+        ))
         self.process = self.env.process(self._loop(), name=self.name)
-
-    def _controller_conf(self):
-        conf = self.conf
-        if conf.version != self._conf_stamp:
-            self._conf_parsed = (
-                conf.get_float("dfs.ha.failover.check.interval"),
-                conf.get_int("dfs.ha.failover.failure.threshold"),
-            )
-            self._conf_stamp = conf.version
-        return self._conf_parsed
 
     def _current_active(self):
         for target in self.targets:

@@ -10,7 +10,7 @@ rules in :mod:`repro.lint.rules`:
 * **spawn sites** (SIM009) — every ``env.process(...)`` call and the
   generator bodies it starts, with multi-spawn detection;
 * **conf caches** (SIM010) — ``self.attr = conf.get_*("key")`` in
-  ``__init__`` plus per-class ``conf.subscribe`` detection;
+  ``__init__``, outside any ``conf.view(...)``;
 * **serialization shapes** (SIM011) — the ordered ``write_*``/``read_*``
   token sequence of an encoder or decoder body.
 """
@@ -18,6 +18,7 @@ rules in :mod:`repro.lint.rules`:
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -295,9 +296,24 @@ class ConfCache:
     func: FunctionInfo
 
 
+def _is_view_call(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "view"
+        and _conf_receiver(astutil.dotted_name(node.func.value))
+    )
+
+
 def _conf_get_keys(expr: ast.AST) -> Iterator[Tuple[str, str]]:
-    """(getter, key) for each conf getter call inside ``expr``."""
-    for sub in ast.walk(expr):
+    """(getter, key) for each conf getter call inside ``expr``, except
+    inside a ``<conf>.view(...)``, which re-parses after every write."""
+    todo = deque([expr])
+    while todo:
+        sub = todo.popleft()
+        if _is_view_call(sub):
+            continue
+        todo.extend(ast.iter_child_nodes(sub))
         if not (
             isinstance(sub, ast.Call)
             and isinstance(sub.func, ast.Attribute)
@@ -341,22 +357,6 @@ def conf_caches(cls: ClassInfo, callgraph: CallGraph) -> Iterator[ConfCache]:
             for getter, key in _conf_get_keys(value):
                 for attr in attrs:
                     yield ConfCache(cls, attr, key, getter, node, func)
-
-
-def class_subscribes(cls: ClassInfo, callgraph: CallGraph,
-                     program: Program) -> bool:
-    """True if any method of the class calls ``<conf>.subscribe(...)``."""
-    for method in cls.methods.values():
-        for func in callgraph.reachable(method):
-            for node in astutil.own_body_nodes(func.node):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "subscribe"
-                    and _conf_receiver(astutil.dotted_name(node.func.value))
-                ):
-                    return True
-    return False
 
 
 # --------------------------------------------------------------------------

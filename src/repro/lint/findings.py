@@ -21,8 +21,8 @@ RULES = {
     "SIM008": "bytes(...) copy on the zero-copy serialization path",
     "SIM009": "same-timestamp shared-state hazard between process bodies "
               "(whole-program)",
-    "SIM010": "reloadable conf key cached at init without "
-              "Configuration.subscribe (whole-program)",
+    "SIM010": "reloadable conf key cached at init outside a "
+              "Configuration.view (whole-program)",
     "SIM011": "encoder/decoder wire sequences do not mirror "
               "(whole-program)",
 }

@@ -23,6 +23,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.config import Configuration
 from repro.lint import astutil, dataflow
 from repro.lint.callgraph import CallGraph, FunctionInfo, ModuleInfo, Program
 from repro.lint.findings import Finding
@@ -767,62 +768,29 @@ def check_sim009(pctx: ProgramContext) -> Iterator[Finding]:
 # SIM010 — hot-reload staleness (whole-program)
 # --------------------------------------------------------------------------
 
-#: Conf keys the operator plane can change at runtime.  Mirrors
-#: ``repro.rpc.server.Server.QOS_KEYS`` union
-#: ``repro.rpc.failover.FailoverProxy.RELOADABLE_KEYS`` union
-#: ``repro.rpc.mux.ConnectionMux.RELOADABLE_KEYS`` union
-#: ``repro.net.verbs.AdaptiveTransport.RELOADABLE_KEYS`` (asserted in
-#: tests/lint) — the keys ``reconfigure_qos``/``ReloadPlan`` rewires
-#: while the sim runs, the client failover retry policy the proxy
-#: re-reads per attempt, the mux in-flight window the sender
-#: revalidates per batch, and the adaptive-transport arm/confidence
-#: keys the eager/rendezvous chooser revalidates per send.
-RELOADABLE_CONF_KEYS = frozenset(
-    {
-        "ipc.callqueue.fair.weights",
-        "decay-scheduler.thresholds",
-        "ipc.client.failover.max.attempts",
-        "ipc.client.failover.sleep.base",
-        "ipc.client.failover.sleep.max",
-        "ipc.client.failover.retry.policy",
-        "ipc.client.failover.jitter",
-        "ipc.client.async.max-inflight",
-        "ipc.ib.adaptive.enabled",
-        "ipc.ib.adaptive.confidence",
-    }
-)
-
-
 def check_sim010(pctx: ProgramContext) -> Iterator[Finding]:
-    """A reloadable conf key is cached at init without a subscription.
+    """A reloadable conf key is cached at init outside a view.
 
-    PR 6 made reloads real: ``reconfigure_qos`` rewrites these keys
-    mid-run.  A class that reads one into an attribute during
-    ``__init__`` and never calls ``Configuration.subscribe`` keeps
-    serving the stale value and silently ignores the operator.
+    ``Configuration.RELOADABLE`` lists the keys the runtime re-reads
+    mid-run, each through ``conf.view(...)``.  A class that reads one
+    into an attribute during ``__init__`` any other way keeps serving
+    the stale value and silently ignores a ``ReloadPlan`` update.
     """
     for module in pctx.program.modules:
         if not rule_applies("SIM010", module.posix, module.in_src):
             continue
         for cls in module.classes.values():
-            caches = [
-                cache
-                for cache in dataflow.conf_caches(cls, pctx.callgraph)
-                if cache.key in RELOADABLE_CONF_KEYS
-            ]
-            if not caches:
-                continue
-            if dataflow.class_subscribes(cls, pctx.callgraph, pctx.program):
-                continue
-            for cache in caches:
+            for cache in dataflow.conf_caches(cls, pctx.callgraph):
+                if cache.key not in Configuration.RELOADABLE:
+                    continue
                 yield pctx.finding(
                     module,
                     cache.node,
                     "SIM010",
                     f"hot-reload staleness: {cls.name} caches reloadable "
                     f"conf key '{cache.key}' into self.{cache.attr} at init "
-                    "without a Configuration.subscribe listener — runtime "
-                    "reconfigure_qos/ReloadPlan updates are silently ignored",
+                    "outside a conf.view(...) — runtime ReloadPlan updates "
+                    "are silently ignored",
                 )
 
 

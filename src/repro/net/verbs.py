@@ -311,44 +311,31 @@ class AdaptiveTransport:
     * not yet confident → fall back to the static threshold, counted
       separately.
 
-    Both ``ipc.ib.adaptive.*`` keys and the static threshold hot-reload
-    via the ``conf.version`` stamp, so an operator can arm or retune
-    the adaptive transport mid-run.  Metrics (``net.predictor.hits`` /
-    ``misses`` / ``fallbacks``, labelled by node) are created lazily on
-    first use — with the default-off configuration the metrics JSON is
-    unchanged.
+    Both ``ipc.ib.adaptive.*`` keys and the static threshold are read
+    through a conf view on every decision, so an operator can arm or
+    retune the adaptive transport mid-run.  Metrics
+    (``net.predictor.hits`` / ``misses`` / ``fallbacks``, labelled by
+    node) are created lazily on first use — with the default-off
+    configuration the metrics JSON is unchanged.
     """
 
-    #: keys the transport re-reads on every conf.version change
-    #: (mirrored into repro.lint.rules.RELOADABLE_CONF_KEYS — SIM010).
-    RELOADABLE_KEYS = frozenset(
-        {"ipc.ib.adaptive.enabled", "ipc.ib.adaptive.confidence"}
-    )
-
     def __init__(self, conf, predictor: SizePredictor, registry=None, node=""):
-        self.conf = conf
         self.predictor = predictor
         self.registry = registry
         self.node = node
-        self._stamp = -1
-        self._enabled = False
-        self._confidence = 0
-        self._threshold = 0
+        #: (adaptive enabled, confidence, eager/RDMA threshold)
+        self._tunables = conf.view(lambda conf: (
+            conf.get_bool("ipc.ib.adaptive.enabled"),
+            conf.get_int("ipc.ib.adaptive.confidence"),
+            conf.get_int("rpc.ib.rdma.threshold"),
+        ))
         self._hits = None
         self._misses = None
         self._fallbacks = None
 
-    def _revalidate(self) -> None:
-        if self.conf.version != self._stamp:
-            self._enabled = self.conf.get_bool("ipc.ib.adaptive.enabled")
-            self._confidence = self.conf.get_int("ipc.ib.adaptive.confidence")
-            self._threshold = self.conf.get_int("rpc.ib.rdma.threshold")
-            self._stamp = self.conf.version
-
     @property
     def enabled(self) -> bool:
-        self._revalidate()
-        return self._enabled
+        return self._tunables()[0]
 
     def _count(self, which: str) -> None:
         if self.registry is None:
@@ -363,15 +350,15 @@ class AdaptiveTransport:
 
     def choose(self, protocol: str, method: str, length: int) -> ProtocolChoice:
         """Resolve the transport decision for one serialized message."""
-        self._revalidate()
-        actual_eager = classify(length, self._threshold)
-        if not self._enabled:
+        enabled, confidence, threshold = self._tunables()
+        actual_eager = classify(length, threshold)
+        if not enabled:
             return ProtocolChoice(actual_eager)
-        if not self.predictor.confident(protocol, method, self._confidence):
+        if not self.predictor.confident(protocol, method, confidence):
             self._count("fallbacks")
             return ProtocolChoice(actual_eager, source="fallback")
         predicted = self.predictor.predict(protocol, method)
-        predicted_eager = classify(predicted, self._threshold)
+        predicted_eager = classify(predicted, threshold)
         if predicted_eager == actual_eager:
             self._count("hits")
         else:

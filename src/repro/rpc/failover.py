@@ -45,19 +45,6 @@ from repro.simcore.rng import Random, named_stream
 class FailoverProxy:
     """Dynamic stub over an ordered HA address list, sticky on success."""
 
-    #: ``ipc.client.failover.*`` keys the proxy re-reads on every conf
-    #: version bump; mirrored into the SIM010 lint rule's reloadable-key
-    #: set so caching one of these at init is flagged as stale.
-    RELOADABLE_KEYS = frozenset(
-        {
-            "ipc.client.failover.max.attempts",
-            "ipc.client.failover.sleep.base",
-            "ipc.client.failover.sleep.max",
-            "ipc.client.failover.retry.policy",
-            "ipc.client.failover.jitter",
-        }
-    )
-
     def __init__(
         self,
         client: Client,
@@ -74,23 +61,16 @@ class FailoverProxy:
         self._rng = rng or named_stream(f"failover:{client.name}")
         #: index of the address believed active (sticky across calls).
         self._active_index = 0
-        self._conf_stamp = -1
-        self._conf_parsed = (0, 0.0, 0.0, "", 0.0)
+        #: the ``ipc.client.failover.*`` policy, re-read per call.
+        self._failover_conf = client.conf.view(lambda conf: (
+            conf.get_int("ipc.client.failover.max.attempts"),
+            conf.get_float("ipc.client.failover.sleep.base"),
+            conf.get_float("ipc.client.failover.sleep.max"),
+            str(conf.get("ipc.client.failover.retry.policy")),
+            conf.get_float("ipc.client.failover.jitter"),
+        ))
         self._failover_counter = None
         self.failovers = 0
-
-    def _failover_conf(self):
-        conf = self._client.conf
-        if conf.version != self._conf_stamp:
-            self._conf_parsed = (
-                conf.get_int("ipc.client.failover.max.attempts"),
-                conf.get_float("ipc.client.failover.sleep.base"),
-                conf.get_float("ipc.client.failover.sleep.max"),
-                str(conf.get("ipc.client.failover.retry.policy")),
-                conf.get_float("ipc.client.failover.jitter"),
-            )
-            self._conf_stamp = conf.version
-        return self._conf_parsed
 
     def __getattr__(self, method: str):
         if method.startswith("_"):

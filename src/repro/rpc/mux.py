@@ -60,12 +60,6 @@ class ConnectionMux:
     #: the connection's send_call queues each encoded call for the sender.
     WINDOWED = True
 
-    #: Configuration keys the mux re-reads while running (mirrored into
-    #: the SIM010 hot-reload registry — see repro/lint/rules.py).  The
-    #: sender revalidates against the Configuration's mutation stamp
-    #: before every batch, so a live retune takes effect immediately.
-    RELOADABLE_KEYS = frozenset({"ipc.client.async.max-inflight"})
-
     def __init__(self, client, address, protocol):
         super().__init__(client, address, protocol)
         self.conn_key = (address, MUX_CONNECTION_KEY)
@@ -75,8 +69,12 @@ class ConnectionMux:
         #: ids sent but not yet answered/expired — the in-flight window.
         self._inflight_ids: Set[int] = set()
         self._sender_kick = None
-        self._mux_conf_stamp = -1
-        self._mux_window = 1
+        # The sender re-reads the window before every batch, so a live
+        # retune of ``ipc.client.async.max-inflight`` takes effect at
+        # the next one.
+        self._window = client.conf.view(
+            lambda conf: max(1, conf.get_int("ipc.client.async.max-inflight"))
+        )
         # batching statistics (read by the incast experiment and tests).
         self.batches_sent = 0
         self.calls_batched = 0
@@ -91,14 +89,8 @@ class ConnectionMux:
 
     @property
     def window(self) -> int:
-        """Current in-flight bound, revalidated per Configuration stamp."""
-        conf = self.client.conf
-        if conf.version != self._mux_conf_stamp:
-            self._mux_window = max(
-                1, conf.get_int("ipc.client.async.max-inflight")
-            )
-            self._mux_conf_stamp = conf.version
-        return self._mux_window
+        """Current in-flight bound."""
+        return self._window()
 
     # -- sender -----------------------------------------------------------
     def _wake_sender(self) -> None:
@@ -176,7 +168,7 @@ class ConnectionMux:
                 tracer.complete(
                     "rpc.mux.queue", enqueued_at, now, parent=span,
                     node=self.client.node.name, category="rpc.client",
-                    batch_size=size, window=self._mux_window,
+                    batch_size=size, window=self.window,
                 )
                 ref.sent_at = now
             refs.append(ref)

@@ -130,19 +130,20 @@ class DecayRpcScheduler(RpcScheduler):
 
         Takes effect for the *next* priority decision; existing decayed
         counts are kept, so an abusive tenant's history immediately maps
-        through the new ladder.  Priority gauges refresh synchronously
-        so the live time-series shows the reclassification at the exact
-        reload instant rather than at the caller's next charge.
+        through the new ladder.  Priority gauges refresh here, so the
+        live time-series shows the reclassification when the ladder is
+        applied rather than at each caller's next charge.  The same
+        ladder again is a no-op.
         """
-        self.thresholds = self._validated_thresholds(
-            list(thresholds) if thresholds is not None
-            else default_thresholds(self.levels)
-        )
-        if self._registry is not None:
-            for caller in self.counts:
-                gauge = self._priority_gauges.get(caller)
-                if gauge is not None:
-                    gauge.set(self.priority_of(caller))
+        if thresholds is None:
+            thresholds = default_thresholds(self.levels)
+        if thresholds != self.thresholds:
+            self.thresholds = self._validated_thresholds(list(thresholds))
+            if self._registry is not None:
+                for caller in self.counts:
+                    gauge = self._priority_gauges.get(caller)
+                    if gauge is not None:
+                        gauge.set(self.priority_of(caller))
 
     # -- priority assignment ----------------------------------------------
     def priority_of(self, caller: str) -> int:

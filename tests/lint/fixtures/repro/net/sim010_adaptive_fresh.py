@@ -1,24 +1,18 @@
-"""SIM010 negative fixture: adaptive arm read lazily per send.
+"""SIM010 negative fixture: adaptive arm read through a conf view.
 
-Same reloadable key as ``sim010_adaptive_stale.py``, but nothing is
-cached during construction — the arm flag is read (and stamp-cached)
-on the decision path, which re-reads whenever ``conf.version`` moves.
-This is exactly how ``repro.net.verbs.AdaptiveTransport`` arms or
-retunes mid-run without a subscribe listener.
+Same reloadable key as ``sim010_adaptive_stale.py``, but the arm flag
+lives in a ``conf.view(...)`` read on the decision path, which
+re-parses after every write.  This is exactly how
+``repro.net.verbs.AdaptiveTransport`` arms or retunes mid-run.
 """
 
 
 class FreshAdaptive:
     def __init__(self, conf):
         self.conf = conf
-        self._conf_stamp = -1
-        self._enabled = False
-
-    def _current_enabled(self):
-        if self.conf.version != self._conf_stamp:
-            self._enabled = self.conf.get_bool("ipc.ib.adaptive.enabled")
-            self._conf_stamp = self.conf.version
-        return self._enabled
+        self._enabled = conf.view(
+            lambda conf: conf.get_bool("ipc.ib.adaptive.enabled")
+        )
 
     def choose(self, eager):
-        return eager if not self._current_enabled() else not eager
+        return eager if not self._enabled() else not eager

@@ -1,8 +1,7 @@
 """SIM010 positive fixture: adaptive-transport arm cached at init.
 
 ``StaleAdaptive`` reads ``ipc.ib.adaptive.enabled`` once in
-``__init__`` and never calls ``Configuration.subscribe`` — an operator
-arming the predictor-driven transport mid-run is silently ignored and
+``__init__``, outside any ``conf.view`` — an operator arming the predictor-driven transport mid-run is silently ignored and
 every send keeps the static threshold decision.
 """
 

@@ -1,26 +1,18 @@
-"""SIM010 negative fixture: failover policy read lazily per attempt.
+"""SIM010 negative fixture: failover policy read through a conf view.
 
-Same reloadable key as ``sim010_failover_stale.py``, but nothing is
-cached during construction — the policy is read (and stamp-cached)
-inside the invoke path, which re-reads whenever ``conf.version``
-moves.  This is exactly how ``repro.rpc.failover.FailoverProxy``
-stays hot-reload fresh without a subscribe listener.
+Same reloadable key as ``sim010_failover_stale.py``, but the policy
+lives in a ``conf.view(...)`` read on the invoke path, which re-parses
+after every write.  This is exactly how
+``repro.rpc.failover.FailoverProxy`` stays hot-reload fresh.
 """
 
 
 class FreshProxy:
     def __init__(self, conf):
         self.conf = conf
-        self._conf_stamp = -1
-        self._max_attempts = 0
-
-    def _policy(self):
-        if self.conf.version != self._conf_stamp:
-            self._max_attempts = self.conf.get_int(
-                "ipc.client.failover.max.attempts"
-            )
-            self._conf_stamp = self.conf.version
-        return self._max_attempts
+        self._policy = conf.view(
+            lambda conf: conf.get_int("ipc.client.failover.max.attempts")
+        )
 
     def invoke(self):
         return self._policy()

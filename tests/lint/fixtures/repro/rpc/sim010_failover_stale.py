@@ -1,8 +1,7 @@
 """SIM010 positive fixture: failover retry policy cached at init.
 
 ``StaleProxy`` reads ``ipc.client.failover.max.attempts`` once in
-``__init__`` and never calls ``Configuration.subscribe`` — a runtime
-rewrite of the client failover policy is silently ignored, so a
+``__init__``, outside any ``conf.view`` — a runtime rewrite of the client failover policy is silently ignored, so a
 mid-run operator tightening (say, fewer attempts during a planned
 maintenance failover) never reaches the proxy.
 """

@@ -1,21 +1,18 @@
-"""SIM010 negative fixture: cached key, but with a subscribe listener.
+"""SIM010 negative fixture: reloadable key read through a conf view.
 
-Same cache-at-init shape as ``sim010_stale.py`` — made safe by the
-``Configuration.subscribe`` registration whose listener re-reads the
-key, which is exactly how ``repro.rpc.server.Server`` wires QoS
-hot-reload.
+Same key as ``sim010_stale.py``, but the cache built in ``__init__``
+is a ``conf.view(...)``, which re-parses on the first read after any
+write — exactly how ``repro.rpc.callqueue.FairCallQueue`` holds its
+QoS tunables.
 """
 
 
 class FreshQueue:
     def __init__(self, conf):
         self.conf = conf
-        self.weights = conf.get_ints("ipc.callqueue.fair.weights")
-        self._listener = conf.subscribe(self._on_change)
-
-    def _on_change(self, conf, changed):
-        if "ipc.callqueue.fair.weights" in changed:
-            self.weights = conf.get_ints("ipc.callqueue.fair.weights")
+        self._weights = conf.view(
+            lambda conf: conf.get_ints("ipc.callqueue.fair.weights")
+        )
 
     def take(self):
-        return self.weights[0]
+        return self._weights()[0]

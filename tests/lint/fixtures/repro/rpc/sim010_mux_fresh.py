@@ -1,24 +1,18 @@
-"""SIM010 negative fixture: mux window read lazily per batch.
+"""SIM010 negative fixture: mux window read through a conf view.
 
-Same reloadable key as ``sim010_mux_stale.py``, but nothing is cached
-during construction — the window is read (and stamp-cached) on the
-send path, which re-reads whenever ``conf.version`` moves.  This is
-exactly how ``repro.rpc.mux.ConnectionMux`` retunes a live connection
-without a subscribe listener.
+Same reloadable key as ``sim010_mux_stale.py``, but the window lives
+in a ``conf.view(...)`` read on the send path, which re-parses after
+every write.  This is exactly how ``repro.rpc.mux.ConnectionMux``
+retunes a live connection.
 """
 
 
 class FreshMux:
     def __init__(self, conf):
         self.conf = conf
-        self._conf_stamp = -1
-        self._window = 0
-
-    def _current_window(self):
-        if self.conf.version != self._conf_stamp:
-            self._window = self.conf.get_int("ipc.client.async.max-inflight")
-            self._conf_stamp = self.conf.version
-        return self._window
+        self._window = conf.view(
+            lambda conf: conf.get_int("ipc.client.async.max-inflight")
+        )
 
     def budget(self, inflight):
-        return self._current_window() - inflight
+        return self._window() - inflight

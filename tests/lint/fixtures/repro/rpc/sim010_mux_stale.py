@@ -1,8 +1,7 @@
 """SIM010 positive fixture: mux in-flight window cached at init.
 
 ``StaleMux`` reads ``ipc.client.async.max-inflight`` once in
-``__init__`` and never calls ``Configuration.subscribe`` — a runtime
-retune of the pipelining window is silently ignored, so an operator
+``__init__``, outside any ``conf.view`` — a runtime retune of the pipelining window is silently ignored, so an operator
 widening the window mid-incast never reaches the live connection.
 """
 

@@ -1,9 +1,9 @@
 """SIM010 positive fixture: reloadable conf key cached at init.
 
 ``StaleQueue`` reads ``ipc.callqueue.fair.weights`` once in
-``__init__`` (via a same-class helper, to exercise the call graph) and
-never calls ``Configuration.subscribe`` — a runtime ``reconfigure_qos``
-rewrite of the key is silently ignored.
+``__init__`` (via a same-class helper, to exercise the call graph),
+outside any ``conf.view`` — a runtime ``ReloadPlan`` rewrite of the
+key is silently ignored.
 """
 
 

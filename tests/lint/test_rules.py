@@ -2,6 +2,9 @@
 
 from pathlib import Path
 
+import pytest
+
+from repro.config import Configuration
 from repro.lint import lint_file, lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -615,21 +618,26 @@ def test_sim010_ignores_non_reloadable_keys():
     assert lint_source(src, "/x/src/repro/rpc/q.py", in_src=True) == []
 
 
-def test_sim010_keys_mirror_runtime_reload_surface():
-    """RELOADABLE_CONF_KEYS must stay in lockstep with the runtime
-    reload surface, or the rule silently under/over-approximates."""
-    from repro.lint.rules import RELOADABLE_CONF_KEYS
-    from repro.net.verbs import AdaptiveTransport
-    from repro.rpc.failover import FailoverProxy
-    from repro.rpc.mux import ConnectionMux
-    from repro.rpc.server import Server
-
-    assert RELOADABLE_CONF_KEYS == (
-        Server.QOS_KEYS
-        | FailoverProxy.RELOADABLE_KEYS
-        | ConnectionMux.RELOADABLE_KEYS
-        | AdaptiveTransport.RELOADABLE_KEYS
+@pytest.mark.parametrize("key", sorted(Configuration.RELOADABLE))
+def test_sim010_covers_every_reloadable_key(key):
+    stale = (
+        "class C:\n"
+        "    def __init__(self, conf):\n"
+        f"        self.x = conf.get_int({key!r})\n"
     )
+    findings = lint_source(stale, "/x/src/repro/rpc/c.py", in_src=True)
+    assert rules_of(findings) == ["SIM010"]
+    assert key in findings[0].message
+    fresh = (
+        "class C:\n"
+        "    def __init__(self, conf):\n"
+        f"        self.x = conf.view(lambda conf: conf.get_int({key!r}))\n"
+    )
+    assert lint_source(fresh, "/x/src/repro/rpc/c.py", in_src=True) == []
+
+
+def test_reloadable_keys_are_configuration_keys():
+    assert Configuration.RELOADABLE <= set(Configuration.DEFAULTS)
 
 
 def test_sim010_real_server_and_callqueue_are_clean():

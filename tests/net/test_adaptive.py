@@ -232,13 +232,6 @@ def test_conf_keys_hot_reload_mid_run():
     assert adaptive.choose("P", "m", 64_000).source == "static"
 
 
-def test_reloadable_keys_cover_exactly_the_adaptive_conf():
-    assert AdaptiveTransport.RELOADABLE_KEYS == {
-        "ipc.ib.adaptive.enabled",
-        "ipc.ib.adaptive.confidence",
-    }
-
-
 def test_enabled_property_tracks_the_live_configuration():
     conf = conf_with()
     adaptive = make_adaptive(conf)
