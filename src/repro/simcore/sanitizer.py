@@ -53,7 +53,7 @@ class HappensBeforeTracker:
     The static rule flags shared attributes that several process bodies
     touch with no event ordering in between; this tracker *observes*
     those accesses at runtime.  Components opt specific objects in via
-    :meth:`track` (the rpc Server registers its WRR mux and decay
+    :meth:`track` (the fair call queue registers its WRR mux and decay
     scheduler); tracking swaps the object's class for a generated
     subclass whose ``__setattr__``/``__getattribute__`` report into the
     tracker, so the object itself needs no cooperation.

@@ -110,6 +110,36 @@ def test_fair_queue_server_opts_into_tracking():
         assert isinstance(line, str)
 
 
+def test_fair_queue_tracks_the_replacement_mux_of_a_reload():
+    """A QoS reload swaps in a new WRR mux; the queue registers it too,
+    so the tracker keeps watching the mux the handlers now drain."""
+    from repro.config import Configuration
+    from repro.rpc.callqueue import WeightedRoundRobinMux, build_call_queue
+    from repro.simcore import sanitizer
+    from repro.simcore.environment import Environment
+    from tests.rpc.test_hot_reload import call_from, drain
+
+    conf = Configuration({"ipc.callqueue.impl": "fair"})
+    with sanitizer.sanitized(track_races=True) as session:
+        env = Environment()
+        queue = build_call_queue(env, conf, 16, server_name="s")
+        assert session.hb.tracked == 2  # wrr-mux + decay-scheduler
+        first = queue.mux
+        conf.set("ipc.callqueue.fair.weights", "1,1,1,1")
+        scall = call_from("a")
+        assert queue.try_reserve(scall) is None
+        queue.put(scall)
+        admitted_writes = session.hb.writes
+        drain(env, queue)  # the drain applies the weights
+        queue.stop()
+    assert queue.mux is not first
+    assert queue.mux.weights == [1, 1, 1, 1]
+    assert session.hb.tracked == 3
+    assert type(queue.mux) is not WeightedRoundRobinMux  # instrumented
+    # The drain touched only the replacement mux, and it was recorded.
+    assert session.hb.writes > admitted_writes
+
+
 def test_fifo_server_tracks_nothing():
     """The default FIFO queue has no mux/scheduler: nothing is tracked,
     so fig5-style runs stay race-report-free by construction."""
