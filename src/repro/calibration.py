@@ -18,7 +18,7 @@ Units: microseconds and bytes (bandwidth = bytes/us; see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.units import GB, KB, MB, gbps, mb_per_s
@@ -41,10 +41,6 @@ class NetworkSpec:
     cpu_per_byte_us: float = 0.0
     #: True for verbs/RDMA transports (registered-memory semantics).
     rdma_capable: bool = False
-
-    def transfer_us(self, nbytes: int) -> float:
-        """Pure wire time for ``nbytes`` (no host costs)."""
-        return self.latency_us + nbytes / self.bandwidth
 
 
 #: The four network configurations of the paper's evaluation, plus the
@@ -238,12 +234,6 @@ class CostModel:
     @staticmethod
     def default() -> "CostModel":
         return CostModel()
-
-    def with_memory(self, **kwargs) -> "CostModel":
-        return replace(self, memory=replace(self.memory, **kwargs))
-
-    def with_software(self, **kwargs) -> "CostModel":
-        return replace(self, software=replace(self.software, **kwargs))
 
 
 #: Paper headline targets, used by the calibration acceptance tests and

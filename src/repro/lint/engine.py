@@ -366,7 +366,3 @@ def lint_paths(
         if module is not None:
             modules.append(module)
     return _analyze(modules, parse_findings, rules=rules)
-
-
-def rule_catalogue() -> Dict[str, str]:
-    return dict(RULES)

@@ -71,10 +71,6 @@ class JobConf:
     def num_maps(self) -> int:
         return len(self.splits)
 
-    @property
-    def input_bytes(self) -> int:
-        return sum(split.length for split in self.splits)
-
 
 @dataclass
 class JobResult:

@@ -105,13 +105,7 @@ class ChildTask:
         disk = self.model.disk
         with self.tracker.local_disk.request() as grant:
             yield grant
-            yield self.env.timeout(disk.seek_us + nbytes / disk.seq_write)
-
-    def _local_disk_read(self, nbytes: int):
-        disk = self.model.disk
-        with self.tracker.local_disk.request() as grant:
-            yield grant
-            yield self.env.timeout(disk.seek_us + nbytes / disk.seq_read)
+            yield self.env.timeout(disk.write_us(nbytes))
 
     # ------------------------------------------------------------------
     # map side
@@ -221,4 +215,4 @@ def source_disk_read(source_tracker, nbytes: int):
     disk = source_tracker.fabric.model.disk
     with source_tracker.local_disk.request() as grant:
         yield grant
-        yield source_tracker.env.timeout(disk.seek_us + nbytes / disk.seq_read)
+        yield source_tracker.env.timeout(disk.read_us(nbytes))

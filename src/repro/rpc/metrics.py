@@ -86,13 +86,10 @@ class RpcMetrics:
         self.call_profiles: List[CallProfile] = []
         self.receive_profiles: List[ReceiveProfile] = []
         self.by_kind: Dict[CallKind, KindAggregate] = {}
-        self.calls_completed = 0
-        self.calls_failed = 0
 
     # -- recording ---------------------------------------------------------
     def record_call(self, profile: CallProfile) -> None:
         self.call_profiles.append(profile)
-        self.calls_completed += 1
         kind = (profile.protocol, profile.method)
         agg = self.by_kind.get(kind)
         if agg is None:
@@ -103,9 +100,6 @@ class RpcMetrics:
         agg.total_send_us += profile.send_us
         agg.total_latency_us += profile.latency_us
         agg.message_sizes.append(profile.message_bytes)
-
-    def record_failure(self) -> None:
-        self.calls_failed += 1
 
     def record_receive(self, profile: ReceiveProfile) -> None:
         self.receive_profiles.append(profile)
@@ -141,5 +135,3 @@ class RpcMetrics:
         self.call_profiles.clear()
         self.receive_profiles.clear()
         self.by_kind.clear()
-        self.calls_completed = 0
-        self.calls_failed = 0

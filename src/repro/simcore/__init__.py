@@ -35,7 +35,7 @@ from repro.simcore.resources import (
     Resource,
     Store,
 )
-from repro.simcore.monitor import Counter, Histogram, StatsRegistry, Tally, TimeWeighted
+from repro.simcore.monitor import Counter, Histogram, Tally, TimeWeighted
 from repro.simcore.rng import RngRegistry, named_stream, stable_seed
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "Process",
     "Resource",
     "RngRegistry",
-    "StatsRegistry",
     "Store",
     "Tally",
     "TimeWeighted",

@@ -71,9 +71,6 @@ class Event:
             raise AttributeError("Event has not been triggered yet")
         return self._value
 
-    def defused(self) -> bool:
-        return self._defused
-
     def defuse(self) -> None:
         """Mark a failed event as handled so it does not crash the run."""
         self._defused = True

@@ -9,7 +9,7 @@ figure).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 class Counter:
@@ -186,42 +186,3 @@ class Histogram:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Histogram {self.name} total={self.total}>"
-
-
-class StatsRegistry:
-    """Named collection of monitors shared across a simulation.
-
-    Components create or look up monitors by dotted name so the
-    experiment harness can collect everything in one sweep.
-    """
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
-        self.tallies: Dict[str, Tally] = {}
-        self.time_weighted: Dict[str, TimeWeighted] = {}
-
-    def counter(self, name: str) -> Counter:
-        if name not in self.counters:
-            self.counters[name] = Counter(name)
-        return self.counters[name]
-
-    def tally(self, name: str) -> Tally:
-        if name not in self.tallies:
-            self.tallies[name] = Tally(name)
-        return self.tallies[name]
-
-    def timeweighted(self, name: str, **kwargs) -> TimeWeighted:
-        if name not in self.time_weighted:
-            self.time_weighted[name] = TimeWeighted(name, **kwargs)
-        return self.time_weighted[name]
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat dict of counter values and tally means, for reports."""
-        out: Dict[str, float] = {}
-        for name, counter in self.counters.items():
-            out[f"counter.{name}"] = counter.value
-        for name, tally in self.tallies.items():
-            if tally.count:
-                out[f"tally.{name}.mean"] = tally.mean
-                out[f"tally.{name}.count"] = tally.count
-        return out

@@ -71,11 +71,26 @@ def test_mean_latency_requires_calls():
 
 
 def test_failures_counted_separately():
-    metrics = RpcMetrics()
-    metrics.record_call(profile())
-    metrics.record_failure()
-    assert metrics.calls_completed == 1
-    assert metrics.calls_failed == 1
+    """The registry counts completed and failed calls apart; only a
+    completed call leaves a profile behind."""
+    from repro.io.writables import Text
+    from repro.rpc.call import RemoteException
+    from tests.rpc.conftest import RpcHarness
+
+    harness = RpcHarness()
+
+    def caller(env):
+        yield harness.proxy.echo(Text("x"))
+        with pytest.raises(RemoteException):
+            yield harness.proxy.boom()
+
+    harness.run(caller)
+    reg = harness.fabric.metrics
+    completed = reg.find("rpc.client.calls_completed")
+    failed = reg.find("rpc.client.calls_failed")
+    assert [c.value for c in completed.values()] == [1]
+    assert [c.value for c in failed.values()] == [1]
+    assert len(harness.client.metrics.call_profiles) == 1
 
 
 def test_reset_clears_state():
@@ -83,6 +98,6 @@ def test_reset_clears_state():
     metrics.record_call(profile())
     metrics.record_receive(ReceiveProfile("P", "m", 1.0, 2.0, 3))
     metrics.reset()
-    assert metrics.calls_completed == 0
+    assert metrics.call_profiles == []
     assert metrics.kinds() == []
     assert metrics.receive_profiles == []

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.simcore import Counter, Histogram, StatsRegistry, Tally, TimeWeighted
+from repro.obs.registry import MetricsRegistry
+from repro.simcore import Counter, Histogram, Tally, TimeWeighted
 
 
 def test_counter_add_and_reset():
@@ -135,20 +136,21 @@ def test_histogram_items_labels():
     assert labels == {"<=10": 0, "<=20": 1, ">20": 0}
 
 
+# The metrics registry (repro.obs) hands out these monitors by name.
 def test_registry_reuses_monitors():
-    reg = StatsRegistry()
+    reg = MetricsRegistry()
+    assert isinstance(reg.counter("a"), Counter)
     assert reg.counter("a") is reg.counter("a")
     assert reg.tally("b") is reg.tally("b")
-    assert reg.timeweighted("c") is reg.timeweighted("c")
+    assert reg.histogram("c", [1, 2]) is reg.histogram("c", [1, 2])
+    assert reg.counter("a", node="n1") is not reg.counter("a")
 
 
 def test_registry_snapshot():
-    reg = StatsRegistry()
+    reg = MetricsRegistry()
     reg.counter("rpc.calls").add(3)
     reg.tally("rpc.latency").observe(10.0)
-    reg.tally("empty")  # no samples: excluded
     snap = reg.snapshot()
-    assert snap["counter.rpc.calls"] == 3
-    assert snap["tally.rpc.latency.mean"] == 10.0
-    assert snap["tally.rpc.latency.count"] == 1
-    assert "tally.empty.mean" not in snap
+    assert snap["rpc.calls"] == {"type": "counter", "value": 3}
+    assert snap["rpc.latency"]["mean"] == 10.0
+    assert snap["rpc.latency"]["count"] == 1
