@@ -3,9 +3,10 @@
 This package re-implements the serialization machinery the paper
 analyzes in Section II — ``DataOutputBuffer`` with its Algorithm 1
 growth policy, buffered socket streams, the ``Writable`` type system —
-and the Section III replacements, ``RDMAOutputStream`` /
-``RDMAInputStream``, which serialize straight into pooled,
-pre-registered native buffers.
+and the Section III replacement, ``RDMAOutputStream``, which
+serializes straight into pooled, pre-registered native buffers.  The
+RPCoIB receive side decodes a completion's bytes with the same
+``DataInputBuffer`` the socket path uses.
 
 The streams run eagerly on real bytes; their mechanical costs
 (allocations, copies, primitive ops) accumulate in a
@@ -35,7 +36,7 @@ from repro.io.writables import (
     VIntWritable,
     VLongWritable,
 )
-from repro.io.rdma_streams import RDMAInputStream, RDMAOutputStream
+from repro.io.rdma_streams import RDMAOutputStream
 
 __all__ = [
     "ArrayWritable",
@@ -56,7 +57,6 @@ __all__ = [
     "MapWritable",
     "NullWritable",
     "ObjectWritable",
-    "RDMAInputStream",
     "RDMAOutputStream",
     "Text",
     "VIntWritable",

@@ -1,4 +1,4 @@
-"""RDMA-backed, Java-IO-compatible streams — Section III-A/III-B.
+"""RDMA-backed, Java-IO-compatible output stream — Section III-A.
 
 ``RDMAOutputStream`` serializes *directly* into a pooled, pre-registered
 native buffer (wrapped as a DirectByteBuffer in the real system): no
@@ -7,30 +7,22 @@ copy before the NIC reads the data.  Growth, when the size-history
 predictor under-shoots, doubles through the native pool
 (:class:`~repro.mem.shadow_pool.HistoryShadowPool`).
 
-``RDMAInputStream`` deserializes straight from the received registered
-buffer — the receive path allocates nothing and copies nothing until a
-Writable materializes its own fields.
+The receive side (Section III-B) needs no stream class of its own: a
+verbs completion carries the payload as ``bytes``, which
+:class:`~repro.io.data_input.DataInputBuffer` decodes without copying.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
-from repro.io.data_input import DataInput, EndOfStream
-from repro.io.data_output import DataOutput, _jwrap
+from repro.io.data_output import DataOutputBuffer
 from repro.mem.cost import CostLedger
 from repro.mem.native_pool import NativeBuffer
 from repro.mem.shadow_pool import HistoryShadowPool
 
-_INT = struct.Struct(">i")
-_LONG = struct.Struct(">q")
-_SHORT = struct.Struct(">h")
-_FLOAT = struct.Struct(">f")
-_DOUBLE = struct.Struct(">d")
 
-
-class RDMAOutputStream(DataOutput):
+class RDMAOutputStream(DataOutputBuffer):
     """Serializer writing into a history-sized pooled native buffer.
 
     Lifecycle::
@@ -41,8 +33,11 @@ class RDMAOutputStream(DataOutput):
         ... transport sends; on completion ...
         out.release()                     # updates history, returns buffer
 
-    The stream auto-maintains the message length (one of the
-    conveniences the paper credits the RDMA stream classes with).
+    The encoders are :class:`DataOutputBuffer`'s; only the backing
+    buffer differs: it comes from the pool and :meth:`_grow` doubles it
+    through the pool.  The stream auto-maintains the message length
+    (one of the conveniences the paper credits the RDMA stream classes
+    with).
     """
 
     def __init__(
@@ -57,6 +52,8 @@ class RDMAOutputStream(DataOutput):
         self.method = method
         self.ledger = ledger
         self.buffer: Optional[NativeBuffer] = pool.acquire(protocol, method, ledger)
+        self._data = self.buffer.data
+        self.capacity = self.buffer.capacity
         self.count = 0
         self.grown = False
         #: number of pool-doubling events (RPCoIB's analogue of Table
@@ -64,96 +61,29 @@ class RDMAOutputStream(DataOutput):
         self.grow_count = 0
         self._detached = False
 
-    def write(self, data: Union[bytes, bytearray, memoryview]) -> None:
+    def _grow(self, new_count: int) -> None:
+        """Pool-backed doubling: native-to-native copy only.
+
+        :meth:`detach` and :meth:`release` set ``capacity`` to -1, so
+        every later write lands here and is rejected.
+        """
         if self.buffer is None:
             raise RuntimeError("stream is closed")
         if self._detached:
             raise RuntimeError("stream already detached")
-        length = len(data)
-        while self.count + length > self.buffer.capacity:
-            # Pool-backed doubling: native-to-native copy only.
+        while new_count > self.buffer.capacity:
             self.buffer = self.pool.grow(self.buffer, self.count, self.ledger)
             self.grown = True
             self.grow_count += 1
-        end = self.count + length
-        self.buffer.data[self.count : end] = data
-        self.ledger.charge_copy(length)
-        self.count = end
-
-    def _reserve(self, length: int) -> int:
-        """Growth/validity checks shared by the pack_into fast paths;
-        returns the write offset."""
-        if self.buffer is None:
-            raise RuntimeError("stream is closed")
-        if self._detached:
-            raise RuntimeError("stream already detached")
-        while self.count + length > self.buffer.capacity:
-            self.buffer = self.pool.grow(self.buffer, self.count, self.ledger)
-            self.grown = True
-            self.grow_count += 1
-        return self.count
-
-    # -- zero-copy primitive fast paths ---------------------------------------
-    # Pack straight into the registered native buffer; ledger charges
-    # mirror the generic DataOutput path (write-op, then the data copy).
-
-    def write_byte(self, value: int) -> None:
-        self.ledger.charge_write_op(1)
-        count = self._reserve(1)
-        self.buffer.data[count] = (value + 256) % 256
-        self.ledger.charge_copy(1)
-        self.count = count + 1
-
-    def write_boolean(self, value: bool) -> None:
-        self.ledger.charge_write_op(1)
-        count = self._reserve(1)
-        self.buffer.data[count] = 1 if value else 0
-        self.ledger.charge_copy(1)
-        self.count = count + 1
-
-    def write_short(self, value: int) -> None:
-        self.ledger.charge_write_op(2)
-        count = self._reserve(2)
-        _SHORT.pack_into(self.buffer.data, count, _jwrap(value, 16))
-        self.ledger.charge_copy(2)
-        self.count = count + 2
-
-    def write_int(self, value: int) -> None:
-        self.ledger.charge_write_op(4)
-        count = self._reserve(4)
-        _INT.pack_into(self.buffer.data, count, _jwrap(value, 32))
-        self.ledger.charge_copy(4)
-        self.count = count + 4
-
-    def write_long(self, value: int) -> None:
-        self.ledger.charge_write_op(8)
-        count = self._reserve(8)
-        _LONG.pack_into(self.buffer.data, count, _jwrap(value, 64))
-        self.ledger.charge_copy(8)
-        self.count = count + 8
-
-    def write_float(self, value: float) -> None:
-        self.ledger.charge_write_op(4)
-        count = self._reserve(4)
-        _FLOAT.pack_into(self.buffer.data, count, value)
-        self.ledger.charge_copy(4)
-        self.count = count + 4
-
-    def write_double(self, value: float) -> None:
-        self.ledger.charge_write_op(8)
-        count = self._reserve(8)
-        _DOUBLE.pack_into(self.buffer.data, count, value)
-        self.ledger.charge_copy(8)
-        self.count = count + 8
-
-    def get_length(self) -> int:
-        return self.count
+        self._data = self.buffer.data
+        self.capacity = self.buffer.capacity
 
     def detach(self) -> Tuple[NativeBuffer, int]:
         """Freeze and expose (buffer, length) for the transport to send."""
         if self.buffer is None:
             raise RuntimeError("stream is closed")
         self._detached = True
+        self.capacity = -1
         return self.buffer, self.count
 
     def release(self) -> None:
@@ -169,105 +99,4 @@ class RDMAOutputStream(DataOutput):
             grown=self.grown,
         )
         self.buffer = None
-
-
-class RDMAInputStream(DataInput):
-    """Deserializer reading directly from a received registered buffer."""
-
-    def __init__(
-        self,
-        buffer: Union[NativeBuffer, bytes, bytearray],
-        length: int,
-        ledger: CostLedger,
-    ):
-        self._view = buffer.data if isinstance(buffer, NativeBuffer) else buffer
-        if length > len(self._view):
-            raise ValueError(f"length {length} exceeds buffer {len(self._view)}")
-        self.length = length
-        self.ledger = ledger
-        self.position = 0
-
-    def read(self, n: int) -> bytes:
-        if n < 0:
-            raise ValueError(f"negative read size {n}")
-        end = self.position + n
-        if end > self.length:
-            raise EndOfStream(
-                f"read past end: want {n} at {self.position}, have {self.length}"
-            )
-        chunk = bytes(self._view[self.position : end])  # sim-lint: disable=SIM008
-        self.position = end
-        return chunk
-
-    # -- zero-allocation primitive fast paths ----------------------------------
-    # Decode in place from the registered buffer with unpack_from —
-    # ledger charges identical to the generic DataInput implementations.
-
-    def read_byte(self) -> int:
-        self.ledger.charge_read_op(1)
-        pos = self.position
-        if pos + 1 > self.length:
-            self.read(1)  # raises EndOfStream with the canonical message
-        self.position = pos + 1
-        value = self._view[pos]
-        return value - 256 if value > 127 else value
-
-    def read_unsigned_byte(self) -> int:
-        self.ledger.charge_read_op(1)
-        pos = self.position
-        if pos + 1 > self.length:
-            self.read(1)
-        self.position = pos + 1
-        return self._view[pos]
-
-    def read_boolean(self) -> bool:
-        self.ledger.charge_read_op(1)
-        pos = self.position
-        if pos + 1 > self.length:
-            self.read(1)
-        self.position = pos + 1
-        return self._view[pos] != 0
-
-    def read_short(self) -> int:
-        self.ledger.charge_read_op(2)
-        pos = self.position
-        if pos + 2 > self.length:
-            self.read(2)
-        self.position = pos + 2
-        return _SHORT.unpack_from(self._view, pos)[0]
-
-    def read_int(self) -> int:
-        self.ledger.charge_read_op(4)
-        pos = self.position
-        if pos + 4 > self.length:
-            self.read(4)
-        self.position = pos + 4
-        return _INT.unpack_from(self._view, pos)[0]
-
-    def read_long(self) -> int:
-        self.ledger.charge_read_op(8)
-        pos = self.position
-        if pos + 8 > self.length:
-            self.read(8)
-        self.position = pos + 8
-        return _LONG.unpack_from(self._view, pos)[0]
-
-    def read_float(self) -> float:
-        self.ledger.charge_read_op(4)
-        pos = self.position
-        if pos + 4 > self.length:
-            self.read(4)
-        self.position = pos + 4
-        return _FLOAT.unpack_from(self._view, pos)[0]
-
-    def read_double(self) -> float:
-        self.ledger.charge_read_op(8)
-        pos = self.position
-        if pos + 8 > self.length:
-            self.read(8)
-        self.position = pos + 8
-        return _DOUBLE.unpack_from(self._view, pos)[0]
-
-    @property
-    def remaining(self) -> int:
-        return self.length - self.position
+        self.capacity = -1

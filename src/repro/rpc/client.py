@@ -44,7 +44,7 @@ from repro.config import Configuration
 from repro.io.buffered import BufferedOutputStream, VectorSink
 from repro.io.data_input import DataInputBuffer
 from repro.io.data_output import DataOutputBuffer, DataOutputStream
-from repro.io.rdma_streams import RDMAInputStream, RDMAOutputStream
+from repro.io.rdma_streams import RDMAOutputStream
 from repro.io.writable import ObjectWritable, Writable
 from repro.mem.cost import CostLedger
 from repro.mem.native_pool import build_pool
@@ -1029,7 +1029,7 @@ class IBConnection(BaseConnection):
                 self._engine_failed(message.reason)
             raise QPBrokenError(message.reason)
         ledger = CostLedger(self.model)
-        inp = RDMAInputStream(message.data, message.length, ledger)
+        inp = DataInputBuffer(message.data, ledger)
         return self.env.now, ledger, inp, message.length, {"eager": message.eager}
 
     def _engine_failed(self, reason: str) -> None:

@@ -26,7 +26,7 @@ from repro.calibration import CostModel, NetworkSpec
 from repro.config import Configuration
 from repro.io.data_input import DataInputBuffer
 from repro.io.data_output import DataOutputBuffer
-from repro.io.rdma_streams import RDMAInputStream, RDMAOutputStream
+from repro.io.rdma_streams import RDMAOutputStream
 from repro.io.writable import ObjectWritable, Writable
 from repro.io.writables import NullWritable
 from repro.mem.cost import CostLedger
@@ -307,7 +307,7 @@ class Server:
                     continue
                 receive_start = self.env.now
                 ledger = CostLedger(self.model)
-                inp = RDMAInputStream(message.data, message.length, ledger)
+                inp = DataInputBuffer(message.data, ledger)
                 nbytes, traces, eager = message.length, qp, message.eager
             else:
                 conn = got

@@ -11,7 +11,6 @@ from repro.io import (
     IntWritable,
     LongWritable,
     MapWritable,
-    RDMAInputStream,
     RDMAOutputStream,
     Text,
     VLongWritable,
@@ -118,7 +117,7 @@ def test_rdma_stream_roundtrip_any_chunks(chunks):
     for chunk in chunks:
         out.write(chunk)
     buf, length = out.detach()
-    inp = RDMAInputStream(buf, length, ledger)
+    inp = DataInputBuffer(memoryview(buf.data)[:length], ledger)
     assert inp.read(length) == b"".join(chunks)
     out.release()
     assert pool.native.outstanding == 0

@@ -1,13 +1,12 @@
-"""Unit tests for RDMAOutputStream/RDMAInputStream (Section III)."""
+"""Unit tests for RDMAOutputStream and the RPCoIB receive side (Section III)."""
 
 import pytest
 
 from repro.calibration import CostModel
 from repro.io import (
     BytesWritable,
+    DataInputBuffer,
     DataOutputBuffer,
-    EndOfStream,
-    RDMAInputStream,
     RDMAOutputStream,
     Text,
 )
@@ -78,6 +77,23 @@ def test_write_after_detach_rejected(pool, ledger):
         out.write(b"x")
 
 
+@pytest.mark.parametrize("close", ["detach", "release"])
+def test_every_write_after_close_rejected(pool, ledger, close):
+    out = RDMAOutputStream(pool, "P", "m", ledger)
+    getattr(out, close)()
+    for write in (
+        out.write_byte, out.write_boolean, out.write_short, out.write_int,
+        out.write_long, out.write_float, out.write_double,
+    ):
+        with pytest.raises(RuntimeError):
+            write(1)
+    with pytest.raises(RuntimeError):
+        out.write(b"")
+    if close == "detach":
+        out.release()
+    assert pool.native.outstanding == 0
+
+
 def test_double_release_rejected(pool, ledger):
     out = RDMAOutputStream(pool, "P", "m", ledger)
     out.release()
@@ -113,12 +129,12 @@ def test_rdma_serialization_cheaper_than_default_for_grown_messages(model, pool)
     assert default_ledger.gc_debt_us > 0 == rdma_ledger.gc_debt_us
 
 
-# ----------------------------------------------------------- RDMAInputStream
+# ------------------------------------------------------ RPCoIB receive side
 def test_input_reads_from_native_buffer(pool, ledger):
     out = RDMAOutputStream(pool, "P", "m", ledger)
     Text("round").write(out)
     buf, length = out.detach()
-    inp = RDMAInputStream(buf, length, ledger)
+    inp = DataInputBuffer(memoryview(buf.data)[:length], ledger)
     t = Text()
     t.read_fields(inp)
     assert t.value == "round"
@@ -127,31 +143,20 @@ def test_input_reads_from_native_buffer(pool, ledger):
 
 
 def test_input_accepts_raw_bytes(ledger):
-    inp = RDMAInputStream(b"\x00\x00\x00\x07", 4, ledger)
+    inp = DataInputBuffer(b"\x00\x00\x00\x07", ledger)
     assert inp.read_int() == 7
-
-
-def test_input_respects_length_limit(ledger):
-    inp = RDMAInputStream(b"abcdef", 3, ledger)
-    inp.read(3)
-    with pytest.raises(EndOfStream):
-        inp.read(1)
-
-
-def test_input_length_validation(ledger):
-    with pytest.raises(ValueError):
-        RDMAInputStream(b"ab", 5, ledger)
 
 
 def test_input_no_receive_side_allocation(pool, ledger):
     """Listing 2's per-call ByteBuffer.allocate disappears in the RDMA
-    path: reading primitives from the registered buffer allocates
+    path: decoding primitives from a completion's bytes allocates
     nothing."""
     out = RDMAOutputStream(pool, "P", "m", ledger)
     out.write_int(42)
     buf, length = out.detach()
+    payload = bytes(buf.data[:length])  # the post_send snapshot
     fresh = CostLedger(ledger.model)
-    inp = RDMAInputStream(buf, length, fresh)
+    inp = DataInputBuffer(payload, fresh)
     assert inp.read_int() == 42
     assert fresh.counts.allocations == 0
     out.release()
