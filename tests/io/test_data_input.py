@@ -51,6 +51,26 @@ def test_read_utf(ledger):
     assert inp.read_utf() == "héllo"
 
 
+@pytest.mark.parametrize("size", [32_767, 32_768, 65_535])
+def test_read_utf_length_is_unsigned(size):
+    """Java's readUTF reads the length as an unsigned short, so every
+    string write_utf accepts (up to 0xFFFF bytes) reads back, charged
+    as the length read then the body."""
+    model = CostModel.default()
+    text = "x" * size
+    out = DataOutputBuffer(CostLedger(model))
+    out.write_utf(text)
+    reader = CostLedger(model)
+    inp = DataInputBuffer(out.get_data(), reader)
+    assert inp.read_utf() == text
+    assert inp.remaining == 0
+    expected = CostLedger(model)
+    expected.charge_read_op(2)
+    expected.charge_read_op(size)
+    assert reader.total_us == expected.total_us
+    assert reader.counts == expected.counts
+
+
 def test_read_past_end_raises(ledger):
     inp = DataInputBuffer(b"ab", ledger)
     with pytest.raises(EndOfStream):
