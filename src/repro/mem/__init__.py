@@ -13,12 +13,7 @@ message-size locality.
 from repro.mem.buddy_pool import BuddyBuffer, BuddyBufferPool
 from repro.mem.cost import CostLedger, OpCounts
 from repro.mem.jvm import JvmHeap
-from repro.mem.native_pool import (
-    NativeBuffer,
-    NativeBufferPool,
-    PoolExhausted,
-    build_pool,
-)
+from repro.mem.native_pool import NativeBuffer, NativeBufferPool, build_pool
 from repro.mem.predictor import SizePredictor, size_class_of, within_one_class
 from repro.mem.shadow_pool import HistoryShadowPool
 
@@ -31,7 +26,6 @@ __all__ = [
     "NativeBuffer",
     "NativeBufferPool",
     "OpCounts",
-    "PoolExhausted",
     "SizePredictor",
     "build_pool",
     "size_class_of",

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.calibration import CostModel
 from repro.mem.cost import CostLedger
-from repro.mem.native_pool import NativeBuffer, PoolExhausted
+from repro.mem.native_pool import NativeBuffer
 from repro.simcore import sanitizer as _sanitizer
 
 
@@ -82,7 +82,6 @@ class BuddyBufferPool:
         slabs: int = 8,
         min_block: int = 128,
         regcache_capacity: int = 16,
-        hard_cap: Optional[int] = None,
     ):
         if not _is_pow2(slab_bytes):
             raise ValueError(f"slab_bytes must be a power of two: {slab_bytes}")
@@ -98,7 +97,6 @@ class BuddyBufferPool:
         self.slab_bytes = slab_bytes
         self.min_block = min_block
         self.regcache_capacity = regcache_capacity
-        self.hard_cap = hard_cap
         self._slabs: List[bytearray] = []
         #: free map: block size -> insertion-ordered {(slab, offset): None}
         #: (dict-as-ordered-set: O(1) membership removal for coalescing
@@ -177,10 +175,6 @@ class BuddyBufferPool:
         return buf
 
     def _get_block(self, block: int, ledger: CostLedger) -> BuddyBuffer:
-        if self.hard_cap is not None and self.outstanding >= self.hard_cap:
-            raise PoolExhausted(
-                f"pool hard cap {self.hard_cap} reached for block {block}"
-            )
         # Smallest free block that fits, splitting downward.
         size = block
         while size <= self.slab_bytes and not self._free[size]:

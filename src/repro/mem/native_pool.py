@@ -16,10 +16,6 @@ from repro.mem.cost import CostLedger
 from repro.simcore import sanitizer as _sanitizer
 
 
-class PoolExhausted(RuntimeError):
-    """Raised when a hard-capped pool cannot serve a request."""
-
-
 class NativeBuffer:
     """A registered native buffer: real bytes + pool bookkeeping.
 
@@ -54,7 +50,6 @@ class NativeBufferPool:
         model: CostModel,
         size_classes: List[int],
         buffers_per_class: int = 64,
-        hard_cap: Optional[int] = None,
     ):
         if not size_classes or any(
             b <= a for a, b in zip(size_classes, size_classes[1:])
@@ -65,7 +60,6 @@ class NativeBufferPool:
         self.model = model
         self.size_classes = list(size_classes)
         self.buffers_per_class = buffers_per_class
-        self.hard_cap = hard_cap
         self._free: Dict[int, List[NativeBuffer]] = {c: [] for c in size_classes}
         # Buffers are pre-registered at load time (their cost is charged
         # up front in ``preregistration_us``) but their storage is
@@ -129,10 +123,6 @@ class NativeBufferPool:
             ledger.charge_pool_get()
             buf = NativeBuffer(cls_size, cls_size)
         else:
-            if self.hard_cap is not None and self.outstanding >= self.hard_cap:
-                raise PoolExhausted(
-                    f"pool hard cap {self.hard_cap} reached for class {cls_size}"
-                )
             # Pool grew beyond its preallocation: pay registration now.
             ledger.charge(
                 "register",

@@ -9,7 +9,6 @@ import pytest
 
 from repro.calibration import CostModel
 from repro.mem import BuddyBuffer, BuddyBufferPool, CostLedger
-from repro.mem.native_pool import PoolExhausted
 
 SLAB = 4096
 MIN_BLOCK = 128
@@ -161,16 +160,6 @@ def test_exhausted_pool_grows_a_slab_charging_registration(model, ledger):
     pool.put(whole, ledger)
     pool.put(extra, ledger)
     assert pool.free_bytes() == 2 * SLAB
-
-
-def test_hard_cap_raises_pool_exhausted(model, ledger):
-    pool = BuddyBufferPool(
-        model, slab_bytes=SLAB, slabs=1, min_block=MIN_BLOCK, hard_cap=2
-    )
-    pool.get(64, ledger)
-    pool.get(64, ledger)
-    with pytest.raises(PoolExhausted):
-        pool.get(64, ledger)
 
 
 # -- oversized registration cache ------------------------------------------

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.calibration import CostModel
-from repro.mem import (
-    CostLedger,
-    HistoryShadowPool,
-    NativeBufferPool,
-    PoolExhausted,
-)
+from repro.mem import CostLedger, HistoryShadowPool, NativeBufferPool
 
 CLASSES = [128, 256, 512, 1024, 2048, 4096]
 
@@ -97,13 +92,6 @@ def test_double_return_rejected(pool, ledger):
     pool.put(buf, ledger)
     with pytest.raises(RuntimeError):
         pool.put(buf, ledger)
-
-
-def test_hard_cap_enforced(model, ledger):
-    capped = NativeBufferPool(model, [128], buffers_per_class=1, hard_cap=1)
-    capped.get(1, ledger)
-    with pytest.raises(PoolExhausted):
-        capped.get(1, ledger)
 
 
 def test_preregistration_cost_reported(model):
