@@ -364,7 +364,7 @@ def conf_caches(cls: ClassInfo, callgraph: CallGraph) -> Iterator[ConfCache]:
 # --------------------------------------------------------------------------
 
 #: Stream method -> normalized wire token, per direction.  Pairings
-#: follow the DataOutput/DataInput contract of repro.io.streams.
+#: follow the DataOutput/DataInput contract of repro.io.
 WRITE_OPS = {
     "write_byte": "byte",
     "write_boolean": "bool",
