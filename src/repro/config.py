@@ -97,19 +97,6 @@ class Configuration:
         # -- buffer management --------------------------------------------
         "io.buffer.initial.size": 32,  # DataOutputBuffer initial (Java)
         "io.server.buffer.initial.size": 10 * 1024,  # server-side initial
-        "rpc.ib.pool.size.classes": "128,256,512,1024,2048,4096,8192,16384,"
-        "32768,65536,131072,262144,524288,1048576,2097152,4194304",
-        "rpc.ib.pool.buffers.per.class": 64,
-        # Level-1 pool implementation: "sizeclass" (Section III-C
-        # pre-registered size classes, the default) or "buddy" (the
-        # cubefs-style buddy allocator over pre-registered slabs,
-        # repro.mem.buddy_pool — required for adaptive-transport
-        # pre-posting to be measurable).
-        "rpc.ib.pool.impl": "sizeclass",
-        "rpc.ib.pool.slab.bytes": 1024 * 1024,
-        "rpc.ib.pool.slabs": 8,
-        "rpc.ib.pool.min.block": 128,
-        "rpc.ib.pool.regcache.capacity": 16,
         # -- HDFS -----------------------------------------------------------
         "dfs.replication": 3,
         # Replicas that must be confirmed (blockReceived) before addBlock

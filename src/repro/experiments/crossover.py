@@ -28,12 +28,12 @@ below the static one — the predictor moves the break-even point left,
 so a tighter band of mid-size messages earns zero-copy transfers.
 
 Part B runs a mixed workload (a small call kind under the default
-threshold, a large one above it) with the buddy pool on both arms and
-compares adaptive on vs off end-to-end: adaptive wins the makespan,
-predictor hits outnumber misses, and the hit rate of the late phase
-beats the early (cold) phase.  On the sockets transport the adaptive
-keys are inert — both arms are compared for exact equality, the
-in-experiment twin of the golden-suite bit-identity tests.
+threshold, a large one above it) and compares adaptive on vs off
+end-to-end: adaptive wins the makespan, predictor hits outnumber
+misses, and the hit rate of the late phase beats the early (cold)
+phase.  On the sockets transport the adaptive keys are inert — both
+arms are compared for exact equality, the in-experiment twin of the
+golden-suite bit-identity tests.
 
 Fully deterministic: fixed sweeps, fixed caller sets, no RNG.
 """
@@ -202,9 +202,6 @@ def _run_mixed(
     conf = Configuration({
         "rpc.ib.enabled": ib,
         "ipc.ib.adaptive.enabled": adaptive,
-        # Buddy pool on both arms: the comparison isolates the
-        # transport choice, not the allocator.
-        "rpc.ib.pool.impl": "buddy",
     })
     server = scenario.serve(
         spec, conf, MixedService(), MixedProtocol, node="nn"

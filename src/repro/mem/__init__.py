@@ -10,16 +10,13 @@ pool and the history-based two-level (shadow) pool keyed on
 message-size locality.
 """
 
-from repro.mem.buddy_pool import BuddyBuffer, BuddyBufferPool
 from repro.mem.cost import CostLedger, OpCounts
 from repro.mem.jvm import JvmHeap
-from repro.mem.native_pool import NativeBuffer, NativeBufferPool, build_pool
+from repro.mem.native_pool import NativeBuffer, NativeBufferPool
 from repro.mem.predictor import SizePredictor, size_class_of, within_one_class
 from repro.mem.shadow_pool import HistoryShadowPool
 
 __all__ = [
-    "BuddyBuffer",
-    "BuddyBufferPool",
     "CostLedger",
     "HistoryShadowPool",
     "JvmHeap",
@@ -27,7 +24,6 @@ __all__ = [
     "NativeBufferPool",
     "OpCounts",
     "SizePredictor",
-    "build_pool",
     "size_class_of",
     "within_one_class",
 ]

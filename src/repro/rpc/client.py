@@ -47,7 +47,7 @@ from repro.io.data_output import DataOutputBuffer, DataOutputStream
 from repro.io.rdma_streams import RDMAOutputStream
 from repro.io.writable import ObjectWritable, Writable
 from repro.mem.cost import CostLedger
-from repro.mem.native_pool import build_pool
+from repro.mem.native_pool import NativeBufferPool
 from repro.mem.shadow_pool import HistoryShadowPool
 from repro.net import sockets as simsockets
 from repro.net.fabric import Fabric, Node
@@ -172,7 +172,7 @@ class Client:
     @property
     def pool(self) -> HistoryShadowPool:
         if self._pool is None:
-            self._pool = HistoryShadowPool(build_pool(self.model, self.conf))
+            self._pool = HistoryShadowPool(NativeBufferPool(self.model))
         return self._pool
 
     # -- public API -------------------------------------------------------

@@ -30,7 +30,7 @@ from repro.io.rdma_streams import RDMAOutputStream
 from repro.io.writable import ObjectWritable, Writable
 from repro.io.writables import NullWritable
 from repro.mem.cost import CostLedger
-from repro.mem.native_pool import build_pool
+from repro.mem.native_pool import NativeBufferPool
 from repro.mem.shadow_pool import HistoryShadowPool
 from repro.net.fabric import Fabric, Node
 from repro.net.sockets import ListenerSocket, SimSocket, SocketAddress, SocketClosed
@@ -226,7 +226,7 @@ class Server:
     def pool(self) -> HistoryShadowPool:
         """Server-side RPCoIB buffer pool (lazy, like the JNI library)."""
         if self._pool is None:
-            self._pool = HistoryShadowPool(build_pool(self.model, self.conf))
+            self._pool = HistoryShadowPool(NativeBufferPool(self.model))
         return self._pool
 
     @property

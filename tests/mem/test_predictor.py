@@ -7,6 +7,8 @@ streak, and the exact conditions that reset it.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mem.predictor import (
     DEFAULT_SIZE,
@@ -118,3 +120,50 @@ def test_adjacent_class_drift_keeps_the_streak():
     for size in (100, 200, 390, 200, 100):
         predictor.observe("P", "m", size)
     assert predictor.confident("P", "m", 4)
+
+
+# -- properties ----------------------------------------------------------------
+
+
+KIND = st.tuples(
+    st.sampled_from(["ClientProtocol", "DatanodeProtocol"]),
+    st.sampled_from(["get", "put", "heartbeat"]),
+)
+
+
+@given(
+    observations=st.lists(
+        st.tuples(KIND, st.integers(min_value=0, max_value=1 << 20)),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_prediction_is_always_the_last_observation_per_kind(observations):
+    predictor = SizePredictor()
+    last = {}
+    for (protocol, method), size in observations:
+        predictor.observe(protocol, method, size)
+        last[(protocol, method)] = size
+    for (protocol, method), size in last.items():
+        assert predictor.predict(protocol, method) == size
+
+
+@given(
+    sizes=st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1,
+                   max_size=30)
+)
+@settings(max_examples=60, deadline=None)
+def test_confidence_streak_is_the_tail_run_of_class_local_observations(sizes):
+    predictor = SizePredictor()
+    for size in sizes:
+        predictor.observe("P", "m", size)
+    # Recompute the expected streak from first principles: consecutive
+    # within-one-class steps counted back from the newest observation.
+    streak = 0
+    for prev, cur in zip(reversed(sizes[:-1]), reversed(sizes[1:])):
+        if not within_one_class(prev, cur):
+            break
+        streak += 1
+    assert predictor.confident("P", "m", streak)
+    assert not predictor.confident("P", "m", streak + 1)

@@ -7,12 +7,22 @@ path) and :class:`AdaptiveTransport`'s decision table — static when
 disabled, fallback until confident, hit/miss scoring, pre-posting only
 on agreed-rendezvous, and hot-reload of every ``ipc.ib.adaptive.*``
 key mid-run.
+
+The property at the end is the safety net: with
+``ipc.ib.adaptive.enabled`` off, a payload serialized by the *real*
+encoder and sent through :class:`AdaptiveTransport`'s choice is
+bit-identical — bytes, protocol, and clock — to the static threshold
+path.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.calibration import IB_EAGER, IB_RDMA, CostModel
 from repro.config import Configuration
+from repro.io.rdma_streams import RDMAOutputStream
+from repro.mem import CostLedger, HistoryShadowPool, NativeBufferPool
 from repro.mem.predictor import SizePredictor
 from repro.net import Endpoint, Fabric, QueuePair
 from repro.net.verbs import AdaptiveTransport, ProtocolChoice, classify
@@ -247,3 +257,64 @@ def test_without_registry_no_counting_is_attempted():
     )
     warm(adaptive.predictor, 64_000)
     assert adaptive.choose("P", "m", 64_000).preposted  # no AttributeError
+
+
+# -- adaptive-off identity against the real encoder --------------------------
+
+
+def _send_serialized(chunks, use_adaptive, threshold):
+    """Serialize ``chunks`` with RDMAOutputStream over the size-class
+    pool and send the detached buffer once; returns (received message,
+    arrival)."""
+    model = CostModel.default()
+    pool = HistoryShadowPool(NativeBufferPool(model))
+    ledger = CostLedger(model)
+    out = RDMAOutputStream(pool, "ClientProtocol", "op", ledger)
+    for chunk in chunks:
+        out.write(chunk)
+    out.write_int(len(chunks))  # exercise a pack_into fast path too
+    buffer, length = out.detach()
+
+    fabric = Fabric(Environment())
+    qa, qb = QueuePair.pair(
+        Endpoint(fabric, fabric.add_node("a")),
+        Endpoint(fabric, fabric.add_node("b")),
+    )
+    if use_adaptive:
+        conf = Configuration({"rpc.ib.rdma.threshold": threshold})
+        assert not conf.get_bool("ipc.ib.adaptive.enabled")  # default off
+        adaptive = AdaptiveTransport(conf, pool.predictor)
+        choice = adaptive.choose("ClientProtocol", "op", length)
+        assert choice.source == "static" and not choice.preposted
+        kwargs = {"choice": choice}
+    else:
+        kwargs = {"rdma_threshold": threshold}
+    env = fabric.env
+    got = {}
+
+    def receiver(env):
+        got["msg"] = yield qb.recv()
+        got["arrival"] = env.now
+
+    def sender(env):
+        yield qa.post_send(buffer, length=length, **kwargs)
+        out.release()
+
+    env.process(receiver(env))
+    env.process(sender(env))
+    env.run()
+    return got["msg"], got["arrival"]
+
+
+@given(
+    chunks=st.lists(st.binary(min_size=0, max_size=3000), max_size=5),
+    threshold=st.sampled_from([0, 64, 4096, 1 << 20]),
+)
+@settings(max_examples=30, deadline=None)
+def test_adaptive_off_is_bit_identical_to_the_static_path(chunks, threshold):
+    static_msg, static_arrival = _send_serialized(chunks, False, threshold)
+    adaptive_msg, adaptive_arrival = _send_serialized(chunks, True, threshold)
+    assert adaptive_msg.data == static_msg.data
+    assert adaptive_msg.length == static_msg.length
+    assert adaptive_msg.eager == static_msg.eager
+    assert adaptive_arrival == pytest.approx(static_arrival, abs=0.0)
