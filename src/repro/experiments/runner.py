@@ -52,20 +52,9 @@ import sys
 import time
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "bench":
-        # ``python -m repro.experiments bench ...`` — the wall-clock
-        # benchmark plane (see repro.experiments.bench).
-        from repro.experiments.bench import main as bench_main
-
-        return bench_main(argv[1:])
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser (``bench`` is dispatched before it)."""
     from repro.experiments import ALL_EXPERIMENTS
-    from repro.faults import FaultPlan, FaultSession
-    from repro.faults import runtime as faults_runtime
-    from repro.obs import runtime as obs_runtime
-    from repro.obs.runtime import ObsSession
-    from repro.simcore import sanitizer as sim_sanitizer
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -133,6 +122,25 @@ def main(argv=None) -> int:
         "state (fair-queue mux, decay scheduler) and report confirmed "
         "SIM009 races as sanitizer RACE lines",
     )
+    return parser
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] == "bench":
+        # ``python -m repro.experiments bench ...`` — the wall-clock
+        # benchmark plane (see repro.experiments.bench).
+        from repro.experiments.bench import main as bench_main
+
+        return bench_main(argv[1:])
+    from repro.experiments import ALL_EXPERIMENTS
+    from repro.faults import FaultPlan, FaultSession
+    from repro.faults import runtime as faults_runtime
+    from repro.obs import runtime as obs_runtime
+    from repro.obs.runtime import ObsSession
+    from repro.simcore import sanitizer as sim_sanitizer
+
+    parser = build_parser()
     args = parser.parse_args(argv)
     names = (
         sorted(ALL_EXPERIMENTS) if "all" in args.experiments else args.experiments
