@@ -13,7 +13,9 @@ the static one (the predictor moved the eager/rendezvous break-even
 point) and the adaptive arm winning the mixed workload — the second
 test keeps those bars honest if the fixture is ever regenerated.  The
 third reruns the full experiment under the sanitizer: the fixture must
-still come out exactly, with every pooled buffer returned.
+still come out exactly, with every pooled buffer returned.  The
+fourth runs the SMOKE_PARAMS grid twice and checks both runs against
+``golden_crossover_smoke.json``, which pins the smoke headline.
 
 The final two tests are the default-off safety net, mirroring PR 9's
 async-off pattern: spelling out every ``ipc.ib.adaptive.*`` key at its
@@ -34,6 +36,7 @@ from tests.experiments.test_golden_fig5 import (
 )
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_crossover.json"
+SMOKE_FIXTURE = Path(__file__).parent / "fixtures" / "golden_crossover_smoke.json"
 
 #: every adaptive-transport key at its shipped default — the explicit
 #: spelling the bit-identity tests inject.
@@ -90,6 +93,8 @@ def test_crossover_smoke_is_deterministic_across_runs():
     first = json.loads(json.dumps(crossover.run(**crossover.SMOKE_PARAMS)))
     second = json.loads(json.dumps(crossover.run(**crossover.SMOKE_PARAMS)))
     assert first == second
+    golden = json.loads(SMOKE_FIXTURE.read_text(encoding="utf-8"))
+    assert first == golden
 
 
 def test_explicit_adaptive_off_reproduces_fig5_golden(monkeypatch):

@@ -14,7 +14,9 @@ monotone — the second test keeps those bars honest if the fixture is
 ever regenerated.
 
 The determinism gate runs the scaled-down SMOKE_PARAMS grid twice
-(the full grid takes ~35 s; determinism is parameter-independent).
+(the full grid takes ~35 s; determinism is parameter-independent) and
+checks both runs against ``golden_incast_smoke.json``, so the smoke
+headline (2.76x sockets, 1.65x RPCoIB at window 32) is pinned too.
 """
 
 import json
@@ -30,6 +32,7 @@ from tests.experiments.test_golden_fig5 import (
 )
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_incast.json"
+SMOKE_FIXTURE = Path(__file__).parent / "fixtures" / "golden_incast_smoke.json"
 
 
 def test_incast_is_bit_identical_to_fixture():
@@ -56,6 +59,8 @@ def test_incast_smoke_is_deterministic_across_runs():
     first = json.loads(json.dumps(incast.run(**incast.SMOKE_PARAMS)))
     second = json.loads(json.dumps(incast.run(**incast.SMOKE_PARAMS)))
     assert first == second
+    golden = json.loads(SMOKE_FIXTURE.read_text(encoding="utf-8"))
+    assert first == golden
 
 
 def test_explicit_async_off_reproduces_fig5_golden(monkeypatch):
