@@ -195,7 +195,7 @@ class Configuration:
         return bool(value)
 
     def get_ints(self, key: str) -> list[int]:
-        """Parse a comma-separated int list (size classes etc.)."""
+        """Parse a comma-separated int list (call-queue weights etc.)."""
         raw = self._values.get(key, "")
         if isinstance(raw, (list, tuple)):
             return [int(v) for v in raw]

@@ -57,14 +57,6 @@ def default_weights(levels: int) -> List[int]:
     return [2 ** (levels - 1 - i) for i in range(levels)]
 
 
-def parse_weights(conf) -> Optional[List[int]]:
-    """``ipc.callqueue.fair.weights`` as ints, or None when unset."""
-    raw = conf.get("ipc.callqueue.fair.weights", "")
-    if not raw:
-        return None
-    return [int(part) for part in str(raw).split(",") if part.strip()]
-
-
 class CallQueue:
     """Interface between the server's Readers/Handlers and a queue impl."""
 
@@ -238,7 +230,8 @@ class FairCallQueue(CallQueue):
         if conf is not None:
             levels = self.levels
             self._qos = conf.view(lambda conf: (
-                parse_weights(conf) or default_weights(levels),
+                conf.get_ints("ipc.callqueue.fair.weights")
+                or default_weights(levels),
                 conf.get_floats("decay-scheduler.thresholds")
                 or default_thresholds(levels),
             ))
@@ -388,7 +381,7 @@ def build_call_queue(
         scheduler,
         conf=conf,
         backoff_enabled=conf.get_bool("ipc.backoff.enable"),
-        weights=parse_weights(conf),
+        weights=conf.get_ints("ipc.callqueue.fair.weights") or None,
         registry=registry,
         server_name=server_name,
         fabric_label=fabric_label,

@@ -18,7 +18,7 @@ import pytest
 
 from repro.config import Configuration, ConfigWatcher, ReloadPlan, ScheduledUpdate
 from repro.obs.registry import MetricsRegistry
-from repro.rpc.callqueue import FairCallQueue, build_call_queue, parse_weights
+from repro.rpc.callqueue import FairCallQueue, build_call_queue
 from repro.rpc.scheduler import DecayRpcScheduler
 from repro.simcore import Environment
 
@@ -200,11 +200,18 @@ def test_build_call_queue_reads_threshold_ladder_from_conf():
     assert queue.scheduler.thresholds == [0.01, 0.02, 0.04]
 
 
-def test_parse_weights_reads_conf_or_none():
-    assert parse_weights(Configuration()) is None
-    assert parse_weights(
-        Configuration({"ipc.callqueue.fair.weights": "4, 2 ,1"})
-    ) == [4, 2, 1]
+def test_build_call_queue_reads_weights_from_conf_or_defaults():
+    env = Environment()
+    unset = build_call_queue(env, Configuration({"ipc.callqueue.impl": "fair"}), 16)
+    assert unset.mux.weights == [8, 4, 2, 1]
+    conf = Configuration(
+        {
+            "ipc.callqueue.impl": "fair",
+            "scheduler.priority.levels": 3,
+            "ipc.callqueue.fair.weights": "4, 2 ,1",
+        }
+    )
+    assert build_call_queue(env, conf, 16).mux.weights == [4, 2, 1]
 
 
 # ------------------------------------------------- fair queue QoS reload
@@ -231,6 +238,18 @@ def admit_and_drain(env, queue, caller="a"):
     assert queue.try_reserve(scall) is None
     queue.put(scall)
     assert drain(env, queue) is scall
+
+
+def test_list_valued_weights_build_and_reload_a_fair_queue():
+    """A ReloadPlan JSON file can set the weights to a list, as it can
+    the threshold ladder; both the build and a reload read it."""
+    env, reg, conf, queue = fair_queue_with_conf(
+        **{"ipc.callqueue.fair.weights": [4, 3, 2, 1]}
+    )
+    assert queue.mux.weights == [4, 3, 2, 1]
+    conf.set("ipc.callqueue.fair.weights", [1, 1, 1, 1])
+    admit_and_drain(env, queue)
+    assert queue.mux.weights == [1, 1, 1, 1]
 
 
 def reconfigs(reg):
