@@ -53,7 +53,7 @@ import time
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser (``bench`` is dispatched before it)."""
+    """The CLI's argument parser."""
     from repro.experiments import ALL_EXPERIMENTS
 
     parser = argparse.ArgumentParser(
@@ -64,9 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments",
         nargs="+",
         choices=sorted(ALL_EXPERIMENTS) + ["all"],
-        help="experiment ids (table1, fig1, fig3, fig5, fig6, fig7, fig8, "
-        "chaos, crossover, incast, qos, failover, campaign), 'all', or "
-        "'bench' (wall-clock benchmark + regression gate)",
+        help=f"experiment ids ({', '.join(ALL_EXPERIMENTS)}) or 'all'",
     )
     parser.add_argument(
         "--trace",
@@ -126,13 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "bench":
-        # ``python -m repro.experiments bench ...`` — the wall-clock
-        # benchmark plane (see repro.experiments.bench).
-        from repro.experiments.bench import main as bench_main
-
-        return bench_main(argv[1:])
     from repro.experiments import ALL_EXPERIMENTS
     from repro.faults import FaultPlan, FaultSession
     from repro.faults import runtime as faults_runtime

@@ -90,12 +90,11 @@ class RuleScope:
 
 RULE_SCOPES: Dict[str, RuleScope] = {
     # The experiments harness reports how long a *run of the simulator*
-    # took, the bench plane exists to measure wall time, and the lint
-    # CLI enforces its own wall-clock budget (--max-seconds).
+    # took, and the lint CLI enforces its own wall-clock budget
+    # (--max-seconds).
     "SIM001": RuleScope(
         exempt_suffixes=(
             "repro/experiments/runner.py",
-            "repro/experiments/bench.py",
             "repro/lint/cli.py",
         ),
     ),

@@ -2,8 +2,9 @@
 
 These are the "shape" gates from DESIGN.md Section 5: simulated values
 must land inside tolerance bands around the paper's Fig. 5/Fig. 1
-statements.  Job-scale experiments (Fig. 6/7/8) are covered by the
-benchmark harness with shape (ordering/trend) assertions; see
+statements.  Job-scale experiments get shape (ordering/trend)
+assertions instead: Fig. 6 and Fig. 7 in ``test_figure_shapes.py``,
+Fig. 8 in ``slow_fig8_hbase.py`` (a CI job of its own).  See
 EXPERIMENTS.md for the full paper-vs-measured record.
 """
 

@@ -100,3 +100,22 @@ def test_runner_cli_rejects_unknown():
 
     with pytest.raises(SystemExit):
         main(["no-such-experiment"])
+
+
+def test_runner_cli_rejects_bench():
+    """The wall-clock ``bench`` plane is gone: host time is gated by the
+    repo benchmark (``benchmarks/compare.py``) and the numbers by the
+    goldens."""
+    from repro.experiments.runner import build_parser
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["bench"])
+
+
+def test_runner_help_names_every_experiment():
+    from repro.experiments.runner import build_parser
+
+    help_text = build_parser().format_help()
+    listed = help_text.split("experiment ids (", 1)[1].split(")", 1)[0]
+    assert " ".join(listed.split()).split(", ") == list(ALL_EXPERIMENTS)
+    assert "bench" not in help_text

@@ -78,7 +78,7 @@ def test_sim001_ignores_unrelated_time_attr():
 
 def test_sim001_covers_the_obs_snapshot_and_dashboard_modules():
     """The live-observability modules are in SIM001 scope, not
-    allowlisted like the runner/bench harnesses: the fixtures share the
+    allowlisted like the experiments runner: the fixtures share the
     real modules' path suffixes and must still fire."""
     findings = lint_file(FIXTURES / "repro" / "obs" / "snapshot.py")
     assert rules_of(findings) == ["SIM001"]

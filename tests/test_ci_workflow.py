@@ -3,9 +3,10 @@
 An unquoted ``: `` inside a step name once made ``ci.yml`` invalid
 YAML, and GitHub then ran no job at all, silently.  Loading the file
 here turns that into a failing test, and the structural checks catch a
-job without steps, a step that does nothing, an experiment step that
-names an experiment the CLI does not have, or one whose flags the
-CLI's own parser rejects or whose fault plan does not load.
+job without steps, a step that does nothing, a step that names a
+repo file that is not there, an experiment step that names an
+experiment the CLI does not have, or one whose flags the CLI's own
+parser rejects or whose fault plan does not load.
 """
 
 import re
@@ -50,27 +51,36 @@ def test_every_step_runs_a_command_or_uses_an_action(jobs):
         assert step.get("run") or step.get("uses"), where
 
 
+def test_every_python_file_a_step_names_exists(jobs):
+    """A script run as ``python <path>.py`` or a test file handed to
+    pytest: a renamed or deleted file fails here, not on the runner."""
+    named = []
+    for where, step in _steps(jobs):
+        for word in shlex.split(str(step.get("run", "")).split("|", 1)[0]):
+            if word.endswith(".py"):
+                assert (ROOT / word).is_file(), (where, word)
+                named.append(word)
+    assert "benchmarks/compare.py" in named
+
+
 def test_experiment_steps_name_known_experiments(jobs):
-    known = set(ALL_EXPERIMENTS) | {"bench"}
     called = []
     for where, step in _steps(jobs):
         for name in EXPERIMENT_CALL.findall(str(step.get("run", ""))):
-            assert name in known, (where, name)
+            assert name in ALL_EXPERIMENTS, (where, name)
             called.append(name)
     assert called, "no step runs python -m repro.experiments"
 
 
 def _experiment_argvs(jobs):
-    """(where, argv) of every ``python -m repro.experiments`` step that
-    is not ``bench``, with the command cut at its first ``|``."""
+    """(where, argv) of every ``python -m repro.experiments`` step, with
+    the command cut at its first ``|``."""
     for where, step in _steps(jobs):
         command = str(step.get("run", "")).split("|", 1)[0]
         words = shlex.split(command)
         for i in range(len(words) - 2):
             if words[i:i + 3] == ["python", "-m", "repro.experiments"]:
-                argv = words[i + 3:]
-                if argv[:1] != ["bench"]:
-                    yield where, argv
+                yield where, words[i + 3:]
 
 
 def test_experiment_steps_parse_and_their_fault_plans_load(jobs):
@@ -85,5 +95,5 @@ def test_experiment_steps_parse_and_their_fault_plans_load(jobs):
         if args.faults is not None:
             FaultPlan.from_file(ROOT / args.faults)
             plans += 1
-    assert parsed, "no non-bench step runs python -m repro.experiments"
+    assert parsed, "no step runs python -m repro.experiments"
     assert plans, "no experiment step arms a --faults plan"
