@@ -51,12 +51,18 @@ def test_every_step_runs_a_command_or_uses_an_action(jobs):
         assert step.get("run") or step.get("uses"), where
 
 
+def _step_words(jobs):
+    """(where, words) of every step's command, cut at its first ``|``."""
+    for where, step in _steps(jobs):
+        yield where, shlex.split(str(step.get("run", "")).split("|", 1)[0])
+
+
 def test_every_python_file_a_step_names_exists(jobs):
     """A script run as ``python <path>.py`` or a test file handed to
     pytest: a renamed or deleted file fails here, not on the runner."""
     named = []
-    for where, step in _steps(jobs):
-        for word in shlex.split(str(step.get("run", "")).split("|", 1)[0]):
+    for where, words in _step_words(jobs):
+        for word in words:
             if word.endswith(".py"):
                 assert (ROOT / word).is_file(), (where, word)
                 named.append(word)
@@ -73,11 +79,8 @@ def test_experiment_steps_name_known_experiments(jobs):
 
 
 def _experiment_argvs(jobs):
-    """(where, argv) of every ``python -m repro.experiments`` step, with
-    the command cut at its first ``|``."""
-    for where, step in _steps(jobs):
-        command = str(step.get("run", "")).split("|", 1)[0]
-        words = shlex.split(command)
+    """(where, argv) of every ``python -m repro.experiments`` step."""
+    for where, words in _step_words(jobs):
         for i in range(len(words) - 2):
             if words[i:i + 3] == ["python", "-m", "repro.experiments"]:
                 yield where, words[i + 3:]
