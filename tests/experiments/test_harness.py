@@ -106,10 +106,10 @@ def test_runner_cli_rejects_bench():
     """The wall-clock ``bench`` plane is gone: host time is gated by the
     repo benchmark (``benchmarks/compare.py``) and the numbers by the
     goldens."""
-    from repro.experiments.runner import build_parser
+    from repro.experiments.runner import main
 
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["bench"])
+        main(["bench"])
 
 
 def test_runner_help_names_every_experiment():
