@@ -42,7 +42,7 @@ def measure_ratio(network_key: str, payload: int, iterations: int = 15) -> float
     def bench(env):
         data = BytesWritable(b"\x5a" * payload)
         yield proxy.pingpong(data)  # warm-up / connection setup
-        metrics.receive_profiles.clear()
+        metrics.reset()
         for _ in range(iterations):
             yield proxy.pingpong(data)
 

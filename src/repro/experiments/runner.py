@@ -16,9 +16,11 @@ Observability flags (see ``repro.obs``):
   metrics.json, snapshots.jsonl time series (sampled every
   ``--snapshot-interval`` simulated microseconds), plus trace.json when
   combined with ``--trace``.
-* ``--sketch-tallies`` — back every registry tally with the
-  deterministic t-digest PercentileSketch instead of full sample
-  retention (bounded memory; p50/p99 within 1% on the repo workloads).
+
+Every registry tally is a deterministic t-digest
+(:class:`repro.obs.sketch.PercentileSketch`): its memory is bounded, so
+the exported p50/p99 are estimates, while counts, means, minima and
+maxima are exact.
 
 Tracing is off by default and, when off, adds no simulated-clock events
 — reported numbers are bit-identical with and without the flags.
@@ -94,12 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-dir time series (default 5000)",
     )
     parser.add_argument(
-        "--sketch-tallies",
-        action="store_true",
-        help="bound metrics memory: registry tallies use the deterministic "
-        "t-digest sketch instead of retaining every sample",
-    )
-    parser.add_argument(
         "--faults",
         metavar="PATH",
         default=None,
@@ -158,11 +154,10 @@ def main(argv=None) -> int:
             f"--snapshot-interval must be > 0, got {args.snapshot_interval}"
         )
     session = None
-    if args.trace or args.metrics or args.run_dir or args.sketch_tallies:
+    if args.trace or args.metrics or args.run_dir:
         session = ObsSession(
             trace=args.trace is not None,
             label="+".join(names),
-            tally_backend="sketch" if args.sketch_tallies else "exact",
             snapshot_interval_us=(
                 args.snapshot_interval if args.run_dir else None
             ),

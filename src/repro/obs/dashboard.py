@@ -213,7 +213,6 @@ def render_text(bundle: dict, run_dir: str) -> str:
         f"run bundle: {meta.get('label') or '(unlabeled)'} ({run_dir})",
         f"  runs {meta.get('runs', 0)}, snapshot rows {meta.get('snapshot_rows', 0)}"
         f" @ {_fmt(meta.get('snapshot_interval_us'))} us, "
-        f"tallies {meta.get('tally_backend', 'exact')}, "
         f"trace {'on' if meta.get('trace') else 'off'}",
     ]
     for i, snapshot in enumerate(bundle["metrics"].get("runs", []), start=1):
@@ -438,7 +437,6 @@ def render_html(bundle: dict, run_dir: str) -> str:
         f'<p class="sub">{meta.get("runs", 0)} run(s), '
         f"{meta.get('snapshot_rows', 0)} snapshot rows @ "
         f"{_fmt(meta.get('snapshot_interval_us'))} simulated us, "
-        f"tallies: {html.escape(str(meta.get('tally_backend', 'exact')))}, "
         f"trace: {'on' if meta.get('trace') else 'off'} &mdash; "
         f"{html.escape(run_dir)}</p>",
     ]

@@ -1,8 +1,9 @@
 """Unified metrics registry: named, labeled instruments for every layer.
 
 Subsumes the :mod:`repro.simcore.monitor` primitives (``Counter``,
-``Tally``, ``TimeWeighted``, ``Histogram``) behind a single registry
-keyed on instrument name **plus labels**, e.g.::
+``TimeWeighted``, ``Histogram``) and the bounded
+:class:`~repro.obs.sketch.PercentileSketch` tally behind a single
+registry keyed on instrument name **plus labels**, e.g.::
 
     reg = MetricsRegistry(env)
     depth = reg.gauge("rpc.server.handler_queue_depth", fabric="ib")
@@ -20,18 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.sketch import PercentileSketch
-from repro.simcore.monitor import Counter, Histogram, Tally, TimeWeighted
+from repro.simcore.monitor import Counter, Histogram, TimeWeighted
 
 LabelItems = Tuple[Tuple[str, str], ...]
 InstrumentKey = Tuple[str, LabelItems]
-
-#: Tally backends the registry can hand out: ``exact`` retains every
-#: sample (:class:`Tally`, exact percentiles), ``sketch`` bounds memory
-#: with a deterministic t-digest (:class:`PercentileSketch`).
-TALLY_BACKENDS = ("exact", "sketch")
 
 
 def json_safe(value):
@@ -99,17 +95,11 @@ class Gauge:
 class MetricsRegistry:
     """Registry of labeled instruments shared across one simulation."""
 
-    def __init__(self, env=None, tally_backend: str = "exact"):
-        if tally_backend not in TALLY_BACKENDS:
-            raise ValueError(
-                f"unknown tally backend {tally_backend!r} "
-                f"(choose from {TALLY_BACKENDS})"
-            )
+    def __init__(self, env=None):
         self.env = env
-        self.tally_backend = tally_backend
         self._counters: Dict[InstrumentKey, Counter] = {}
         self._gauges: Dict[InstrumentKey, Gauge] = {}
-        self._tallies: Dict[InstrumentKey, Union[Tally, PercentileSketch]] = {}
+        self._tallies: Dict[InstrumentKey, PercentileSketch] = {}
         self._histograms: Dict[InstrumentKey, Histogram] = {}
 
     # -- instrument factories (get-or-create) ------------------------------
@@ -129,15 +119,13 @@ class MetricsRegistry:
             )
         return inst
 
-    def tally(self, name: str, **labels) -> Union[Tally, PercentileSketch]:
+    def tally(self, name: str, **labels) -> PercentileSketch:
+        """A bounded-memory tally: exact count, mean, min and max;
+        estimated percentiles."""
         key = (name, _label_items(labels))
         inst = self._tallies.get(key)
         if inst is None:
-            rendered = format_key(name, key[1])
-            if self.tally_backend == "sketch":
-                inst = self._tallies[key] = PercentileSketch(rendered)
-            else:
-                inst = self._tallies[key] = Tally(rendered)
+            inst = self._tallies[key] = PercentileSketch(format_key(name, key[1]))
         return inst
 
     def histogram(self, name: str, bounds: Sequence[float], **labels) -> Histogram:
@@ -185,18 +173,16 @@ class MetricsRegistry:
             # Empty tallies report the full stat schema with nan values;
             # every JSON writer scrubs those to null via json_safe()
             # (json.dumps alone would emit the invalid literal ``NaN``).
-            entry = {
+            p50, p99 = tally.percentiles(50, 99)
+            out[format_key(name, labels)] = {
                 "type": "tally",
                 "count": tally.count,
                 "mean": tally.mean,
                 "min": tally.minimum,
                 "max": tally.maximum,
-                "p50": tally.percentile(50),
-                "p99": tally.percentile(99),
+                "p50": p50,
+                "p99": p99,
             }
-            if isinstance(tally, PercentileSketch):
-                entry["backend"] = "sketch"
-            out[format_key(name, labels)] = entry
         for (name, labels), hist in self._histograms.items():
             out[format_key(name, labels)] = {
                 "type": "histogram",

@@ -33,25 +33,21 @@ from repro.obs.trace import Tracer
 class ObsSession:
     """Collects the tracers/registries of every Fabric built under it.
 
-    ``tally_backend`` selects the registry's percentile machinery
-    (``exact`` keeps every sample, ``sketch`` bounds memory with the
-    deterministic t-digest).  ``snapshot_interval_us``, when set,
-    attaches a :class:`~repro.obs.snapshot.Snapshotter` to every fabric
-    so the run emits live time-series rows alongside the end-of-run
-    aggregates; ``None`` (the default) schedules nothing and keeps the
-    simulated event stream bit-identical to a session-free run.
+    ``snapshot_interval_us``, when set, attaches a
+    :class:`~repro.obs.snapshot.Snapshotter` to every fabric so the run
+    emits live time-series rows alongside the end-of-run aggregates;
+    ``None`` (the default) schedules nothing and keeps the simulated
+    event stream bit-identical to a session-free run.
     """
 
     def __init__(
         self,
         trace: bool = True,
         label: str = "",
-        tally_backend: str = "exact",
         snapshot_interval_us: Optional[float] = None,
     ):
         self.trace = trace
         self.label = label
-        self.tally_backend = tally_backend
         self.snapshot_interval_us = snapshot_interval_us
         self.tracers: List[Tracer] = []
         self.registries: List[MetricsRegistry] = []
@@ -69,7 +65,7 @@ class ObsSession:
         return tracer
 
     def registry_for(self, env) -> MetricsRegistry:
-        registry = MetricsRegistry(env, tally_backend=self.tally_backend)
+        registry = MetricsRegistry(env)
         self.registries.append(registry)
         if self.snapshot_interval_us is not None:
             self.snapshotters.append(
@@ -91,7 +87,8 @@ class ObsSession:
         return write_chrome_trace(path, self.tracers, label=self.label)
 
     def metrics_snapshots(self) -> List[dict]:
-        return [r.snapshot() for r in self.registries if r.snapshot()]
+        snapshots = (r.snapshot() for r in self.registries)
+        return [s for s in snapshots if s]
 
     def write_metrics(self, path: str) -> int:
         """Write per-run metrics snapshots as JSON; returns run count.
@@ -127,7 +124,6 @@ class ObsSession:
         meta = {
             "schema": "repro.obs.run/1",
             "label": self.label,
-            "tally_backend": self.tally_backend,
             "snapshot_interval_us": self.snapshot_interval_us,
             "runs": runs,
             "snapshot_rows": rows,
@@ -166,15 +162,11 @@ def uninstall() -> None:
 def obs_session(
     trace: bool = True,
     label: str = "",
-    tally_backend: str = "exact",
     snapshot_interval_us: Optional[float] = None,
 ):
     """Scope an :class:`ObsSession` around a block of experiment runs."""
     session = ObsSession(
-        trace=trace,
-        label=label,
-        tally_backend=tally_backend,
-        snapshot_interval_us=snapshot_interval_us,
+        trace=trace, label=label, snapshot_interval_us=snapshot_interval_us
     )
     install(session)
     try:

@@ -1,15 +1,14 @@
-"""Deterministic, mergeable percentile sketches (t-digest style).
+"""Deterministic percentile sketches (t-digest style): the registry's tallies.
 
-The full-retention :class:`~repro.simcore.monitor.Tally` keeps every
-sample so its percentiles are exact — fine for a few hundred thousand
-observations, a memory wall for the 1M-events/sec / 1000-node ambitions
-of the roadmap.  :class:`PercentileSketch` bounds memory at
-``O(compression)`` centroids while keeping tail quantiles accurate to a
-fraction of a percent, using the *merging* t-digest algorithm (Dunning
-& Ertl): buffered samples are periodically sorted and folded into a
-centroid list whose per-centroid weight is limited by the scale
-function ``k1(q) = δ/2π · asin(2q−1)`` — tight centroids at the tails
-(where p99 lives), wide ones in the middle.
+Every :meth:`~repro.obs.registry.MetricsRegistry.tally` instrument is a
+:class:`PercentileSketch`, so metrics memory grows with the number of
+instruments, not with the number of observations.  The sketch bounds
+memory at ``O(compression)`` centroids while keeping tail quantiles
+accurate to a fraction of a percent, using the *merging* t-digest
+algorithm (Dunning & Ertl): buffered samples are periodically sorted
+and folded into a centroid list whose per-centroid weight is limited by
+the scale function ``k1(q) = δ/2π · asin(2q−1)`` — tight centroids at
+the tails (where p99 lives), wide ones in the middle.
 
 Two properties matter here more than raw accuracy:
 
@@ -18,15 +17,18 @@ Two properties matter here more than raw accuracy:
   value then weight, so two runs of the same simulation produce
   bit-identical sketches.  Rule SIM002/SIM007 style discipline, upheld
   structurally: there is simply nothing to seed.
-* **Mergeability** — ``merge()`` folds another sketch's centroids in as
-  weighted points, so per-node sketches can aggregate cluster-wide
-  without shipping samples.
+* **Read-only queries** — the buffer folds into the centroids only when
+  it fills.  ``percentile``, ``percentiles`` and ``centroid_count``
+  compute on a merged copy and store nothing, so how often a run is
+  sampled (the ``--run-dir`` snapshot interval) never changes what it
+  reports.
 
-The sketch is a drop-in backend for the registry's ``tally()``
-instruments (``MetricsRegistry(tally_backend="sketch")``): it exposes
-the same ``observe`` / ``count`` / ``mean`` / ``minimum`` / ``maximum``
-/ ``percentile`` / ``merge`` surface, returning ``nan`` for the empty
-stats exactly like :class:`Tally` does.
+The sketch exposes the :class:`~repro.simcore.monitor.Tally` query
+surface (``observe`` / ``count`` / ``total`` / ``mean`` / ``minimum`` /
+``maximum`` / ``percentile``), returning ``nan`` for the empty stats
+exactly like :class:`Tally` does.  ``mean`` is the running sum of the
+observations in record order divided by the count; ``minimum`` and
+``maximum`` are exact; percentiles are estimates.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ class PercentileSketch:
 
     ``observe()`` appends to a bounded buffer; when the buffer fills it
     is sorted and merged into the centroid list in one deterministic
-    pass.  Quantile queries interpolate between centroid means, with
-    the exact observed minimum/maximum anchoring the extremes.
+    pass.  Quantile queries merge the buffer into a copy of the
+    centroids and interpolate between centroid means, with the exact
+    observed minimum/maximum anchoring the extremes.
     """
 
     __slots__ = (
@@ -94,23 +97,6 @@ class PercentileSketch:
         if len(self._buffer) >= self._buffer_limit:
             self._compress()
 
-    def merge(self, other: "PercentileSketch") -> "PercentileSketch":
-        """Fold ``other``'s state into this sketch; returns ``self``."""
-        if other._count == 0:
-            return self
-        self._count += other._count
-        self._sum += other._sum
-        if other._min < self._min:
-            self._min = other._min
-        if other._max > self._max:
-            self._max = other._max
-        # Centroids enter the merge pass as weighted points; buffered
-        # singletons ride along unchanged.
-        pending = list(zip(other._means, other._weights))
-        pending.extend((v, 1.0) for v in other._buffer)
-        self._compress(extra=pending)
-        return self
-
     # -- queries -------------------------------------------------------------
     @property
     def count(self) -> int:
@@ -137,19 +123,27 @@ class PercentileSketch:
 
     @property
     def centroid_count(self) -> int:
-        """Retained centroids (after folding the buffer) — the memory
-        bound the sketch exists to provide."""
-        self._compress()
-        return len(self._means)
+        """Centroids once the buffer is folded in — the memory bound the
+        sketch exists to provide.  Computed on a copy, like every query."""
+        return len(self._folded()[0])
 
     def percentile(self, q: float) -> float:
         """Approximate percentile; ``q`` in [0, 100], ``nan`` if empty."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile q={q} out of [0, 100]")
+        return self.percentiles(q)[0]
+
+    def percentiles(self, *qs: float) -> List[float]:
+        """:meth:`percentile` of each ``q``, from one fold of the buffer."""
+        for q in qs:
+            if not 0.0 <= q <= 100.0:
+                raise ValueError(f"percentile q={q} out of [0, 100]")
         if self._count == 0:
-            return math.nan
-        self._compress()
-        means, weights = self._means, self._weights
+            return [math.nan for _ in qs]
+        means, weights = self._folded()
+        return [self._interpolate(means, weights, q) for q in qs]
+
+    def _interpolate(
+        self, means: List[float], weights: List[float], q: float
+    ) -> float:
         if len(means) == 1:
             return means[0]
         target = (q / 100.0) * self._count
@@ -173,36 +167,41 @@ class PercentileSketch:
         return prev_mean + (self._max - prev_mean) * min(frac, 1.0)
 
     # -- the merge pass ------------------------------------------------------
-    def _k(self, q: float) -> float:
-        """Scale function k1: fine-grained at the tails, coarse mid."""
-        q = min(max(q, 0.0), 1.0)
-        return (
-            self.compression
-            * (math.asin(2.0 * q - 1.0) / math.pi + 0.5)
-            / 2.0
-        )
+    def _folded(self) -> Tuple[List[float], List[float]]:
+        """Centroid means and weights with the buffer merged in, without
+        storing the merge: a query leaves the buffer to fold when full."""
+        if not self._buffer:
+            return self._means, self._weights
+        return self._merge_pass()
 
-    def _compress(self, extra: List[Tuple[float, float]] = None) -> None:
-        if not self._buffer and not extra:
-            return
+    def _compress(self) -> None:
+        """Fold the buffer into the centroids (called when it fills)."""
+        if self._buffer:
+            self._means, self._weights = self._merge_pass()
+            self._buffer = []
+
+    def _merge_pass(self) -> Tuple[List[float], List[float]]:
         points = list(zip(self._means, self._weights))
         points.extend((v, 1.0) for v in self._buffer)
-        if extra:
-            points.extend(extra)
-        self._buffer = []
         # Deterministic order: by value, then weight (stable for ties).
         points.sort()
         total = 0.0
         for _, weight in points:
             total += weight
+        asin, pi, delta = math.asin, math.pi, self.compression
+
+        def k(q: float) -> float:
+            # Scale function k1: fine-grained at the tails, coarse mid.
+            # Weights are whole numbers, so q never leaves [0, 1].
+            return delta * (asin(2.0 * q - 1.0) / pi + 0.5) / 2.0
+
         means: List[float] = []
         weights: List[float] = []
         cur_mean, cur_weight = points[0]
         done = 0.0  # weight fully emitted into `means`
-        k_lo = self._k(0.0)
+        k_lo = k(0.0)
         for mean, weight in points[1:]:
-            q_if_merged = (done + cur_weight + weight) / total
-            if self._k(q_if_merged) - k_lo <= 1.0:
+            if k((done + cur_weight + weight) / total) - k_lo <= 1.0:
                 # Weighted running mean keeps the centroid centred.
                 cur_weight += weight
                 cur_mean += (mean - cur_mean) * (weight / cur_weight)
@@ -210,12 +209,11 @@ class PercentileSketch:
                 means.append(cur_mean)
                 weights.append(cur_weight)
                 done += cur_weight
-                k_lo = self._k(done / total)
+                k_lo = k(done / total)
                 cur_mean, cur_weight = mean, weight
         means.append(cur_mean)
         weights.append(cur_weight)
-        self._means = means
-        self._weights = weights
+        return means, weights
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         if not self._count:

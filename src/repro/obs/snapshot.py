@@ -13,10 +13,12 @@ registry's full snapshot, and goes back to sleep:
   fabric was built, so two runs produce sample rows at identical
   simulated times and the time-series files diff cleanly.
 * **Read-only sampling** — a tick calls ``registry.snapshot()`` and
-  appends a row; it never mutates instruments and never schedules
-  anything except its own next wake-up, so measured results are
-  unchanged (the extra timeout events shift event ids uniformly, which
-  affects no ordering decision).
+  appends a row; it never mutates instruments (a tally's p50/p99 are
+  computed on a merged copy of its sketch, so end-of-run percentiles do
+  not depend on the interval) and never schedules anything except its
+  own next wake-up, so measured results are unchanged (the extra
+  timeout events shift event ids uniformly, which affects no ordering
+  decision).
 * **Self-terminating** — when a tick fires and the event queue is
   otherwise empty (``env.peek() == inf``) the snapshotter records the
   final state and stops re-arming, so ``env.run()`` to exhaustion still

@@ -7,12 +7,14 @@ the paper adopts):
   (:mod:`repro.rpc.client`),
 * server side — ``Listener``, ``Reader``, ``Handler`` pool and
   ``Responder`` (:mod:`repro.rpc.server`),
-* two interchangeable engines — the default Writable-over-sockets
-  engine and **RPCoIB** (:mod:`repro.rpc.rpcoib`): endpoint bootstrap
-  over the socket address, JVM-bypass pooled buffers, message-size
-  history, and the eager/RDMA threshold,
-* per-call profiling (:mod:`repro.rpc.metrics`) feeding Table I and
-  Figure 1,
+* two interchangeable engines, selected by ``rpc.ib.enabled`` — the
+  default Writable-over-sockets engine and **RPCoIB**: endpoint
+  bootstrap over the socket address, JVM-bypass pooled buffers,
+  message-size history, and the eager/RDMA threshold
+  (:class:`~repro.rpc.client.IBConnection` and the server's verbs
+  Reader),
+* per-kind profiling (:mod:`repro.rpc.metrics`) feeding Table I,
+  Figure 1 and Figure 3,
 * the WBDB'13 micro-benchmark suite (:mod:`repro.rpc.microbench`)
   behind Figure 5.
 
@@ -28,18 +30,16 @@ from repro.rpc.call import (
     RpcStatus,
 )
 from repro.rpc.protocol import RpcProtocol, VersionMismatch
-from repro.rpc.metrics import CallProfile, ReceiveProfile, RpcMetrics
+from repro.rpc.metrics import RpcMetrics
 from repro.rpc.client import Client
 from repro.rpc.server import Server
 from repro.rpc.engine import RPC
 
 __all__ = [
     "Call",
-    "CallProfile",
     "Client",
     "ConnectionHeader",
     "Invocation",
-    "ReceiveProfile",
     "RemoteException",
     "RPC",
     "RpcMetrics",

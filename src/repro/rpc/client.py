@@ -75,7 +75,7 @@ from repro.rpc.call import (
     StandbyException,
     frame_chunks,
 )
-from repro.rpc.metrics import CallProfile, RpcMetrics
+from repro.rpc.metrics import RpcMetrics
 from repro.rpc.protocol import RpcProtocol
 from repro.simcore.process import Process
 
@@ -281,17 +281,7 @@ class Client:
             )
         latency_us = self.env.now - call.started_at
         if profile_info is not None:
-            self.metrics.record_call(
-                CallProfile(
-                    protocol=call.protocol,
-                    method=call.method,
-                    mem_adjustments=profile_info["adjustments"],
-                    serialization_us=profile_info["serialization_us"],
-                    send_us=profile_info["send_us"],
-                    latency_us=latency_us,
-                    message_bytes=profile_info["message_bytes"],
-                )
-            )
+            self.metrics.record_call(call.protocol, call.method, **profile_info)
         counter = self._completed_counter
         if counter is None:
             counter = self._completed_counter = self.fabric.metrics.counter(

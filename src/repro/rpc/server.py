@@ -50,7 +50,7 @@ from repro.rpc.call import (
     frame_chunks,
 )
 from repro.rpc.callqueue import CallQueue, build_call_queue
-from repro.rpc.metrics import ReceiveProfile, RpcMetrics
+from repro.rpc.metrics import RpcMetrics
 from repro.rpc.protocol import RpcProtocol
 from repro.simcore import Store
 from repro.simcore.process import Interrupt
@@ -374,13 +374,7 @@ class Server:
                         alloc_us = alloc_total - alloc_seen
                         alloc_seen = alloc_total
                     self.metrics.record_receive(
-                        ReceiveProfile(
-                            protocol=conn.protocol_name,
-                            method=invocation.method,
-                            alloc_us=alloc_us,
-                            receive_total_us=self.env.now - receive_start,
-                            payload_bytes=sub_len,
-                        )
+                        alloc_us, self.env.now - receive_start
                     )
                     ref = traces.pop_trace()
                     if ref is not None:

@@ -37,9 +37,7 @@ def test_operator_fixture_holds_the_recovery_bar():
 
 
 def test_operator_result_is_unchanged_under_live_snapshotting():
-    with obs_session(
-        trace=False, tally_backend="sketch", snapshot_interval_us=5000.0
-    ) as session:
+    with obs_session(trace=False, snapshot_interval_us=5000.0) as session:
         result = operator_story.run()
     normalized = json.loads(json.dumps(result))
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))

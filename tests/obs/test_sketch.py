@@ -1,4 +1,4 @@
-"""PercentileSketch: drop-in Tally surface, determinism, accuracy, merging."""
+"""PercentileSketch: Tally query surface, determinism, accuracy, read-only queries."""
 
 import math
 import random
@@ -104,36 +104,25 @@ def test_deterministic_no_rng_same_input_same_state():
     assert a.percentile(99) == b.percentile(99)
 
 
-def test_merge_preserves_totals_and_accuracy():
-    rng = random.Random(11)
-    values = [rng.lognormvariate(4.0, 1.0) for _ in range(12000)]
-    whole = PercentileSketch()
-    shards = [PercentileSketch() for _ in range(4)]
-    tally = Tally("exact")
-    for i, v in enumerate(values):
-        whole.observe(v)
-        shards[i % 4].observe(v)
-        tally.observe(v)
-    merged = shards[0]
-    for s in shards[1:]:
-        assert merged.merge(s) is merged
-    assert merged.count == whole.count == len(values)
-    assert merged.minimum == whole.minimum
-    assert merged.maximum == whole.maximum
-    assert merged.total == pytest.approx(whole.total, rel=1e-12)
-    for q in (50, 99):
-        assert abs(merged.percentile(q) - tally.percentile(q)) / tally.percentile(
-            q
-        ) < 0.01
-
-
-def test_merge_with_empty_is_identity():
-    sk = PercentileSketch()
-    sk.observe(1.0)
-    sk.observe(2.0)
-    before = (sk.count, sk.mean)
-    sk.merge(PercentileSketch())
-    assert (sk.count, sk.mean) == before
+def test_queries_do_not_change_what_the_sketch_reports():
+    """A run sampled often (``--run-dir`` snapshots query p50 and p99
+    every tick) reports what an unsampled run reports."""
+    rng = random.Random(7)
+    values = [rng.lognormvariate(4.0, 0.6) for _ in range(20000)]
+    queried = PercentileSketch()
+    quiet = PercentileSketch()
+    for i, v in enumerate(values, start=1):
+        queried.observe(v)
+        quiet.observe(v)
+        if i % 300 == 0:
+            queried.percentile(50)
+            queried.percentile(99)
+            assert queried.centroid_count > 0
+    assert queried.percentile(50) == quiet.percentile(50)
+    assert queried.percentile(99) == quiet.percentile(99)
+    assert queried.centroid_count == quiet.centroid_count
+    assert queried._means == quiet._means
+    assert queried._buffer == quiet._buffer
 
 
 def test_memory_is_bounded_by_compression_not_samples():
@@ -149,7 +138,7 @@ def test_memory_is_bounded_by_compression_not_samples():
 
 
 def test_registry_sketch_backend_hands_out_sketches():
-    reg = MetricsRegistry(tally_backend="sketch")
+    reg = MetricsRegistry()
     inst = reg.tally("latency_us", fabric="ib")
     assert isinstance(inst, PercentileSketch)
     assert reg.tally("latency_us", fabric="ib") is inst  # shared identity
@@ -157,17 +146,6 @@ def test_registry_sketch_backend_hands_out_sketches():
     inst.observe(20.0)
     snap = reg.snapshot()
     entry = snap["latency_us{fabric=ib}"]
-    assert entry["backend"] == "sketch"
+    assert "backend" not in entry  # one tally kind: nothing to tag
     assert entry["count"] == 2
     assert entry["p50"] == pytest.approx(15.0)
-
-
-def test_registry_exact_backend_has_no_backend_tag():
-    reg = MetricsRegistry()
-    reg.tally("t").observe(1.0)
-    assert "backend" not in reg.snapshot()["t"]
-
-
-def test_registry_rejects_unknown_backend():
-    with pytest.raises(ValueError):
-        MetricsRegistry(tally_backend="hdr")

@@ -127,9 +127,14 @@ def test_metrics_record_calls(harness):
     agg = harness.client.metrics.kind("EchoProtocol", "echo")
     assert agg is not None
     assert agg.calls == 2
-    assert agg.avg_latency_us > 0
     assert agg.avg_serialization_us > 0
     assert agg.message_sizes[0] > 100
+    # Per-kind latency lives in the fabric's registry.
+    latency = harness.fabric.metrics.tally(
+        "rpc.client.latency_us", protocol="EchoProtocol", method="echo"
+    )
+    assert latency.count == 2
+    assert latency.mean > 0
 
 
 def test_server_counts_handled_calls(harness):

@@ -1,39 +1,53 @@
 """Unit tests for RPC metrics aggregation."""
 
+import math
+
 import pytest
 
-from repro.rpc.metrics import CallProfile, ReceiveProfile, RpcMetrics
+from repro.obs.registry import MetricsRegistry
+from repro.rpc.metrics import RpcMetrics
 
 
-def profile(method="m", adjustments=2, ser=50.0, send=20.0, lat=100.0, size=128):
-    return CallProfile(
-        protocol="P",
-        method=method,
-        mem_adjustments=adjustments,
+def record(metrics, method="m", adjustments=2, ser=50.0, send=20.0, size=128):
+    metrics.record_call(
+        "P",
+        method,
+        adjustments=adjustments,
         serialization_us=ser,
         send_us=send,
-        latency_us=lat,
         message_bytes=size,
     )
 
 
 def test_aggregation_by_kind():
     metrics = RpcMetrics()
-    metrics.record_call(profile(adjustments=2, ser=40, send=10, lat=80, size=100))
-    metrics.record_call(profile(adjustments=4, ser=60, send=30, lat=120, size=300))
+    record(metrics, adjustments=2, ser=40, send=10, size=100)
+    record(metrics, adjustments=4, ser=60, send=30, size=300)
     agg = metrics.kind("P", "m")
     assert agg.calls == 2
     assert agg.avg_adjustments == 3.0
     assert agg.avg_serialization_us == 50.0
     assert agg.avg_send_us == 20.0
-    assert agg.avg_latency_us == 100.0
     assert agg.message_sizes == [100, 300]
+
+
+def test_averages_are_running_sums_in_record_order():
+    """Table I's averages divide a left-to-right running sum by the
+    count — not ``math.fsum``, whose correctly rounded total differs in
+    the last bits and would move the Table I golden."""
+    values = [0.1, 0.2, 0.3]
+    metrics = RpcMetrics()
+    for v in values:
+        record(metrics, ser=v)
+    agg = metrics.kind("P", "m")
+    assert agg.avg_serialization_us == ((0.1 + 0.2) + 0.3) / 3
+    assert agg.avg_serialization_us != math.fsum(values) / 3
 
 
 def test_kinds_sorted_and_distinct():
     metrics = RpcMetrics()
-    metrics.record_call(profile(method="zz"))
-    metrics.record_call(profile(method="aa"))
+    record(metrics, method="zz")
+    record(metrics, method="aa")
     kinds = metrics.kinds()
     assert [k.method for k in kinds] == ["aa", "zz"]
 
@@ -45,34 +59,32 @@ def test_unknown_kind_is_none():
 def test_message_size_trace():
     metrics = RpcMetrics()
     for size in (100, 150, 90):
-        metrics.record_call(profile(size=size))
+        record(metrics, size=size)
     assert metrics.message_size_trace("P", "m") == [100, 150, 90]
     assert metrics.message_size_trace("P", "other") == []
 
 
 def test_receive_profile_alloc_ratio():
-    p = ReceiveProfile("P", "m", alloc_us=30.0, receive_total_us=100.0, payload_bytes=10)
-    assert p.alloc_ratio == pytest.approx(0.3)
-    zero = ReceiveProfile("P", "m", alloc_us=1.0, receive_total_us=0.0, payload_bytes=0)
-    assert zero.alloc_ratio == 0.0
+    metrics = RpcMetrics()
+    metrics.record_receive(alloc_us=30.0, receive_total_us=100.0)
+    assert metrics.mean_alloc_ratio() == pytest.approx(0.3)
+    zero = RpcMetrics()
+    zero.record_receive(alloc_us=1.0, receive_total_us=0.0)
+    assert zero.alloc_ratio.count == 1
+    assert zero.mean_alloc_ratio() == 0.0
 
 
 def test_mean_alloc_ratio():
     metrics = RpcMetrics()
-    metrics.record_receive(ReceiveProfile("P", "m", 10.0, 100.0, 1))
-    metrics.record_receive(ReceiveProfile("P", "m", 30.0, 100.0, 1))
+    metrics.record_receive(10.0, 100.0)
+    metrics.record_receive(30.0, 100.0)
     assert metrics.mean_alloc_ratio() == pytest.approx(0.2)
     assert RpcMetrics().mean_alloc_ratio() == 0.0
 
 
-def test_mean_latency_requires_calls():
-    with pytest.raises(ValueError):
-        RpcMetrics().mean_latency_us()
-
-
 def test_failures_counted_separately():
     """The registry counts completed and failed calls apart; only a
-    completed call leaves a profile behind."""
+    completed call is added to its kind."""
     from repro.io.writables import Text
     from repro.rpc.call import RemoteException
     from tests.rpc.conftest import RpcHarness
@@ -90,14 +102,39 @@ def test_failures_counted_separately():
     failed = reg.find("rpc.client.calls_failed")
     assert [c.value for c in completed.values()] == [1]
     assert [c.value for c in failed.values()] == [1]
-    assert len(harness.client.metrics.call_profiles) == 1
+    assert [(k.method, k.calls) for k in harness.client.metrics.kinds()] == [
+        ("echo", 1)
+    ]
 
 
 def test_reset_clears_state():
     metrics = RpcMetrics()
-    metrics.record_call(profile())
-    metrics.record_receive(ReceiveProfile("P", "m", 1.0, 2.0, 3))
+    record(metrics)
+    metrics.record_receive(1.0, 2.0)
     metrics.reset()
-    assert metrics.call_profiles == []
     assert metrics.kinds() == []
+    assert metrics.alloc_ratio.count == 0
+    assert metrics.mean_alloc_ratio() == 0.0
+
+
+def test_memory_grows_with_kinds_not_calls():
+    """10,000 calls and receives leave one Fig. 3 size per call and
+    nothing else per call: the per-call lists stay empty, and each
+    tally (the Fig. 1 ratio, a registry latency tally) stays within the
+    sketch's buffer and centroid bounds."""
+    metrics = RpcMetrics()
+    latency = MetricsRegistry().tally(
+        "rpc.client.latency_us", protocol="P", method="m"
+    )
+    for i in range(10_000):
+        record(metrics, ser=float(i % 97), size=100 + i % 13)
+        metrics.record_receive(float(i % 7), 10.0 + i % 11)
+        latency.observe(40.0 + (i * 7919) % 1000 / 10.0)
+    assert metrics.call_profiles == []
     assert metrics.receive_profiles == []
+    assert [k.calls for k in metrics.kinds()] == [10_000]
+    assert len(metrics.message_size_trace("P", "m")) == 10_000
+    for sketch in (metrics.alloc_ratio, latency):
+        assert sketch.count == 10_000
+        assert len(sketch._buffer) <= 5 * sketch.compression
+        assert len(sketch._means) <= sketch.compression
