@@ -29,12 +29,7 @@ from repro.simcore.events import (
 )
 from repro.simcore.process import Interrupt, Process
 from repro.simcore.environment import Environment
-from repro.simcore.resources import (
-    FilterStore,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.simcore.resources import Resource, Store
 from repro.simcore.monitor import Counter, Histogram, Tally, TimeWeighted
 from repro.simcore.rng import RngRegistry, named_stream, stable_seed
 
@@ -46,10 +41,8 @@ __all__ = [
     "Environment",
     "Event",
     "EventAlreadyTriggered",
-    "FilterStore",
     "Histogram",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "Resource",
     "RngRegistry",

@@ -96,12 +96,6 @@ class Tally:
         frac = pos - lo
         return data[lo] * (1.0 - frac) + data[hi] * frac
 
-    def merge(self, other: "Tally") -> "Tally":
-        """Fold ``other``'s samples into this tally (for cross-run or
-        cross-node aggregation); returns ``self`` for chaining."""
-        self.samples.extend(other.samples)
-        return self
-
     def __repr__(self) -> str:
         if not self.samples:
             return f"<Tally {self.name} empty>"

@@ -1,4 +1,4 @@
-"""Shared-resource primitives: Resource, PriorityResource, Store.
+"""Shared-resource primitives: Resource and Store.
 
 These model the contention points of the simulated systems: RPC handler
 pools, NIC transmit engines, disk arms, call queues.  The API follows
@@ -9,11 +9,9 @@ on exit (including when the waiting process is interrupted).
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.simcore.events import Event, NORMAL, PENDING
 
@@ -24,9 +22,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource", "key")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", key: tuple = ()):
+    def __init__(self, resource: "Resource"):
         # Event.__init__ inlined: one Request per resource claim makes
         # this constructor hot on the RPC path.
         self.env = resource.env
@@ -35,7 +33,6 @@ class Request(Event):
         self._ok = None
         self._defused = False
         self.resource = resource
-        self.key = key
         resource._do_request(self)
 
     def cancel(self) -> None:
@@ -91,13 +88,7 @@ class Resource:
             env._eid += 1
             heappush(env._queue, (env._now, NORMAL, env._eid, request))
         else:
-            self._enqueue(request)
-
-    def _enqueue(self, request: Request) -> None:
-        self.queue.append(request)
-
-    def _dequeue(self) -> Optional[Request]:
-        return self.queue.popleft() if self.queue else None
+            self.queue.append(request)
 
     def _cancel(self, request: Request) -> None:
         try:
@@ -106,10 +97,9 @@ class Resource:
             pass
 
     def _grant_next(self) -> None:
-        while len(self.users) < self.capacity:
-            nxt = self._dequeue()
-            if nxt is None:
-                return
+        queue = self.queue
+        while queue and len(self.users) < self.capacity:
+            nxt = queue.popleft()
             if nxt.triggered:  # cancelled-but-not-removed safety
                 continue
             self.users.append(nxt)
@@ -120,32 +110,6 @@ class Resource:
             f"<{type(self).__name__} {self.count}/{self.capacity} used,"
             f" {len(self.queue)} queued>"
         )
-
-
-class PriorityResource(Resource):
-    """Resource whose waiters are served by (priority, FIFO) order.
-
-    Lower ``priority`` values are served first.
-    """
-
-    def __init__(self, env: "Environment", capacity: int = 1):
-        super().__init__(env, capacity)
-        self.queue: list = []  # heap of (priority, seq, request)
-        self._seq = itertools.count()
-
-    def request(self, priority: int = 0) -> Request:  # type: ignore[override]
-        return Request(self, key=(priority,))
-
-    def _enqueue(self, request: Request) -> None:
-        priority = request.key[0] if request.key else 0
-        heapq.heappush(self.queue, (priority, next(self._seq), request))
-
-    def _dequeue(self) -> Optional[Request]:
-        return heapq.heappop(self.queue)[2] if self.queue else None
-
-    def _cancel(self, request: Request) -> None:
-        self.queue = [entry for entry in self.queue if entry[2] is not request]
-        heapq.heapify(self.queue)
 
 
 class StorePut(Event):
@@ -172,16 +136,15 @@ class StorePut(Event):
 
 
 class StoreGet(Event):
-    __slots__ = ("filter", "_store_queue")
+    __slots__ = ("_store_queue",)
 
-    def __init__(self, store: "Store", filter: Optional[Callable[[Any], bool]] = None):
+    def __init__(self, store: "Store"):
         # Event.__init__ inlined: one StoreGet per consumed message.
         self.env = store.env
         self.callbacks = []
         self._value = PENDING
         self._ok = None
         self._defused = False
-        self.filter = filter
         self._store_queue: Optional[deque] = None
         store._do_get(self)
 
@@ -243,9 +206,8 @@ class Store:
 
     def _do_get(self, event: StoreGet) -> None:
         items = self.items
-        if items and event.filter is None:
-            # Fast path: plain FIFO get with stock on hand (every RPC
-            # queue).  Inlined ``_match`` + ``event.succeed(item)``.
+        if items:
+            # Stock on hand: inlined ``event.succeed(items.popleft())``.
             event._ok = True
             event._value = items.popleft()
             env = self.env
@@ -253,68 +215,29 @@ class Store:
             heappush(env._queue, (env._now, NORMAL, env._eid, event))
             if self._putters:
                 self._serve_putters()
-            return
-        item = self._match(event)
-        if item is not _NO_ITEM:
-            event.succeed(item)
-            if self._putters:
-                self._serve_putters()
         else:
             event._store_queue = self._getters
             self._getters.append(event)
 
-    def _match(self, event: StoreGet) -> Any:
-        if not self.items:
-            return _NO_ITEM
-        if event.filter is None:
-            return self.items.popleft()
-        for i, item in enumerate(self.items):
-            if event.filter(item):
-                del self.items[i]
-                return item
-        return _NO_ITEM
-
     def _serve_getters(self) -> None:
         getters = self._getters
         items = self.items
-        # Fast path: FIFO getters with no filter (every RPC queue is
-        # one).  Serving the head getter here is exactly what the
-        # general scan below would do on its first hit; dropping
-        # already-triggered heads instead of skipping them is
-        # observationally identical (they can never be served).
+        # FIFO: serve the head getter while stock lasts, dropping heads
+        # that were already triggered (cancelled; never servable).
         while getters:
             getter = getters[0]
             if getter._value is not PENDING:
                 getters.popleft()
                 continue
-            if getter.filter is None:
-                if not items:
-                    return
-                getters.popleft()
-                # Inlined getter.succeed(items.popleft()).
-                getter._ok = True
-                getter._value = items.popleft()
-                env = self.env
-                env._eid += 1
-                heappush(env._queue, (env._now, NORMAL, env._eid, getter))
-                continue
-            break
-        else:
-            return
-        # Slow path: a filtered getter heads the queue — full scan with
-        # restart after every successful serve, as FilterStore requires.
-        served = True
-        while served and getters:
-            served = False
-            for i, getter in enumerate(getters):
-                if getter.triggered:
-                    continue
-                item = self._match(getter)
-                if item is not _NO_ITEM:
-                    del getters[i]
-                    getter.succeed(item)
-                    served = True
-                    break
+            if not items:
+                return
+            getters.popleft()
+            # Inlined getter.succeed(items.popleft()).
+            getter._ok = True
+            getter._value = items.popleft()
+            env = self.env
+            env._eid += 1
+            heappush(env._queue, (env._now, NORMAL, env._eid, getter))
 
     def _serve_putters(self) -> None:
         while self._putters and len(self.items) < self.capacity:
@@ -327,14 +250,3 @@ class Store:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} level={len(self.items)}/{self.capacity}>"
-
-
-class FilterStore(Store):
-    """Store whose ``get`` can select by predicate."""
-
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:  # type: ignore[override]
-        return StoreGet(self, filter)
-
-
-#: Sentinel distinct from None (stores may hold None).
-_NO_ITEM = object()

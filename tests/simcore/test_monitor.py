@@ -40,32 +40,6 @@ def test_tally_empty_stats_are_nan():
         t.percentile(-1)
 
 
-def test_tally_merge_combines_samples():
-    a = Tally("a")
-    b = Tally("b")
-    for v in (1.0, 2.0):
-        a.observe(v)
-    for v in (3.0, 4.0):
-        b.observe(v)
-    assert a.merge(b) is a
-    assert a.count == 4
-    assert a.mean == 2.5
-    assert a.minimum == 1.0
-    assert a.maximum == 4.0
-    # the source tally is untouched
-    assert b.count == 2
-
-
-def test_tally_merge_empty_is_noop():
-    a = Tally("a")
-    a.observe(5.0)
-    a.merge(Tally())
-    assert a.count == 1
-    empty = Tally().merge(Tally())
-    assert empty.count == 0
-    assert math.isnan(empty.mean)
-
-
 def test_tally_percentiles():
     t = Tally()
     for v in range(1, 101):

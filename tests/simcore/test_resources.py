@@ -1,8 +1,8 @@
-"""Unit tests for Resource, PriorityResource, Store, FilterStore."""
+"""Unit tests for Resource and Store."""
 
 import pytest
 
-from repro.simcore import Environment, FilterStore, PriorityResource, Resource, Store
+from repro.simcore import Environment, Resource, Store
 
 
 # ---------------------------------------------------------------- Resource
@@ -111,54 +111,6 @@ def test_interrupted_waiter_via_context_manager_leaves_queue():
     assert len(res.queue) == 0
 
 
-# ---------------------------------------------------------- PriorityResource
-def test_priority_resource_serves_low_priority_first():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def user(env, name, priority):
-        with res.request(priority=priority) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1)
-
-    def starter(env):
-        # occupy, let others queue, then free
-        with res.request(priority=-10) as req:
-            yield req
-            yield env.timeout(10)
-
-    env.process(starter(env))
-
-    def spawn(env):
-        yield env.timeout(1)
-        env.process(user(env, "low", 5))
-        env.process(user(env, "high", 1))
-        env.process(user(env, "mid", 3))
-
-    env.process(spawn(env))
-    env.run()
-    assert order == ["high", "mid", "low"]
-
-
-def test_priority_ties_are_fifo():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def user(env, name):
-        with res.request(priority=1) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1)
-
-    for name in ("x", "y", "z"):
-        env.process(user(env, name))
-    env.run()
-    assert order == ["x", "y", "z"]
-
-
 # -------------------------------------------------------------------- Store
 def test_store_put_get_fifo():
     env = Environment()
@@ -247,63 +199,3 @@ def test_store_level_property():
     store.put("x")
     env.run()
     assert store.level == len(store) == 1
-
-
-# -------------------------------------------------------------- FilterStore
-def test_filter_store_selects_matching_item():
-    env = Environment()
-    store = FilterStore(env)
-    for item in ("apple", "banana", "cherry"):
-        store.put(item)
-    env.run()
-
-    def getter(env):
-        item = yield store.get(lambda x: x.startswith("b"))
-        return item
-
-    assert env.run(env.process(getter(env))) == "banana"
-    assert list(store.items) == ["apple", "cherry"]
-
-
-def test_filter_store_waits_for_matching_item():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def getter(env):
-        item = yield store.get(lambda x: x == "target")
-        got.append((env.now, item))
-
-    def putter(env):
-        yield store.put("noise")
-        yield env.timeout(3)
-        yield store.put("target")
-
-    env.process(getter(env))
-    env.process(putter(env))
-    env.run()
-    assert got == [(3, "target")]
-    assert list(store.items) == ["noise"]
-
-
-def test_filter_store_multiple_waiters_matched_independently():
-    env = Environment()
-    store = FilterStore(env)
-    got = {}
-
-    def getter(env, key):
-        item = yield store.get(lambda x, k=key: x == k)
-        got[key] = item
-
-    env.process(getter(env, "a"))
-    env.process(getter(env, "b"))
-
-    def putter(env):
-        yield env.timeout(1)
-        yield store.put("b")
-        yield env.timeout(1)
-        yield store.put("a")
-
-    env.process(putter(env))
-    env.run()
-    assert got == {"a": "a", "b": "b"}
