@@ -8,10 +8,14 @@ Fig. 8 in ``slow_fig8_hbase.py`` (a CI job of its own).  See
 EXPERIMENTS.md for the full paper-vs-measured record.
 """
 
+import json
+
 import pytest
 
 from repro.calibration import PAPER_TARGETS
-from repro.rpc.microbench import run_latency, run_throughput
+from repro.rpc.microbench import run_latency
+
+from tests.experiments.test_golden_fig5 import FULL_FIXTURE as FIG5_FIXTURE
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +28,13 @@ def latencies():
 
 @pytest.fixture(scope="module")
 def peaks():
+    """Each engine's 64-client Fig. 5(b) point, read from the full fig5
+    golden: ``fig5_micro.run()`` makes the same
+    ``run_throughput(engine, 64, ops_per_client=40)`` call, and
+    ``test_golden_fig5`` checks that golden bit for bit."""
+    golden = json.loads(FIG5_FIXTURE.read_text(encoding="utf-8"))
     return {
-        engine: run_throughput(engine, 64, ops_per_client=40)
+        engine: golden["throughput_kops"][engine]["64"]
         for engine in ("RPC-10GigE", "RPC-IPoIB", "RPCoIB")
     }
 

@@ -20,7 +20,7 @@ fourth runs the SMOKE_PARAMS grid twice and checks both runs against
 The final two tests are the default-off safety net, mirroring PR 9's
 async-off pattern: spelling out every ``ipc.ib.adaptive.*`` key at its
 default is bit-identical to never mentioning them, checked against the
-committed fig5 golden and an incast smoke run.
+committed fig5 golden and the committed incast smoke golden.
 """
 
 import json
@@ -33,6 +33,9 @@ from repro.rpc import microbench
 from tests.experiments.test_golden_fig5 import (
     FIXTURE as FIG5_FIXTURE,
     GOLDEN_PARAMS as FIG5_GOLDEN_PARAMS,
+)
+from tests.experiments.test_golden_incast import (
+    SMOKE_FIXTURE as INCAST_SMOKE_FIXTURE,
 )
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_crossover.json"
@@ -120,8 +123,9 @@ def test_explicit_adaptive_off_reproduces_fig5_golden(monkeypatch):
 def test_explicit_adaptive_off_reproduces_incast_smoke(monkeypatch):
     """Same bit-identity bar against a workload that exercises the
     server responder and the mux: an incast smoke run with the adaptive
-    keys spelled out equals the untouched-default run exactly."""
-    baseline = json.loads(json.dumps(incast.run(**incast.SMOKE_PARAMS)))
+    keys spelled out equals the untouched-default run, which
+    ``golden_incast_smoke.json`` pins, exactly."""
+    baseline = json.loads(INCAST_SMOKE_FIXTURE.read_text(encoding="utf-8"))
 
     class ExplicitAdaptiveOff(Configuration):
         def __init__(self, values=None):
