@@ -149,3 +149,13 @@ def test_registry_sketch_backend_hands_out_sketches():
     assert "backend" not in entry  # one tally kind: nothing to tag
     assert entry["count"] == 2
     assert entry["p50"] == pytest.approx(15.0)
+
+
+def test_registry_exact_backend_has_no_backend_tag():
+    # Min, max and mean stay exact; the snapshot names no backend.
+    reg = MetricsRegistry()
+    reg.tally("t").observe(1.0)
+    entry = reg.snapshot()["t"]
+    assert "backend" not in entry
+    assert entry["count"] == 1
+    assert entry["min"] == entry["max"] == entry["mean"] == 1.0
