@@ -8,7 +8,19 @@ scheduling quantum absorbs sub-second RPC effects), so "RPCoIB never
 loses" is checked within a few percent of seed noise.  Together they
 take about 30 s.  Fig. 8 is 60 HBase runs, about 15 minutes, and runs
 in CI only: see ``slow_fig8_hbase.py``.
+
+Each test also compares the result it computed, float for float, with
+a committed fixture (``fixtures/golden_fig3.json``, ``golden_fig6a``,
+``golden_fig6b_cloudburst``, ``golden_fig7``), so a change that must
+leave the figures unchanged is checked at no extra run time.
+Regenerating a fixture is a deliberate act: rerun the same call, dump
+it with ``json.dump(..., indent=2, sort_keys=True)``, and explain the
+change in the commit message.
 """
+
+import json
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +34,25 @@ from repro.apps.cloudburst import (
 from repro.experiments import fig3_size_locality, fig6_mapreduce, fig7_hdfs
 from repro.experiments.clusters import build_mapreduce_stack
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def golden(name: str):
+    return json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+
+
+def as_json(result):
+    """The result as its fixture stores it (int keys become strings)."""
+    return json.loads(json.dumps(result))
+
+
+def cloudburst_fields(result) -> dict:
+    """A CloudBurst result as JSON, minus the interpreter-wide job ids."""
+    fields = asdict(result)
+    for job in fields.values():
+        del job["job_id"]
+    return as_json(fields)
+
 
 def test_fig3_sequential_calls_share_a_size_class():
     result = fig3_size_locality.run(slaves=4, data_mb=256)
@@ -30,6 +61,7 @@ def test_fig3_sequential_calls_share_a_size_class():
         # the paper's phenomenon: sequential calls overwhelmingly land
         # in the same size class
         assert result["locality"][label] >= 0.6, label
+    assert as_json(result) == golden("golden_fig3.json")
 
 
 def test_fig6a_sort_and_randomwriter():
@@ -48,6 +80,7 @@ def test_fig6a_sort_and_randomwriter():
     largest = sorted(sort["IPoIB"])[-1]
     assert sort["RPCoIB"][largest] <= sort["IPoIB"][largest] * 1.02
     assert randomwriter["RPCoIB"][largest] <= randomwriter["IPoIB"][largest] * 1.02
+    assert as_json(result) == golden("golden_fig6a.json")
 
 
 def cloudburst(ib: bool):
@@ -76,11 +109,13 @@ def test_fig6b_cloudburst_phases(cloudburst_ipoib):
     assert result.filtering.maps == FILTERING_MAPS
     assert result.filtering.reduces == FILTERING_REDUCES
     assert result.alignment_s > result.filtering_s
+    assert cloudburst_fields(result) == golden("golden_fig6b_cloudburst.json")["IPoIB"]
 
 
 def test_fig6b_cloudburst_rpcoib_does_not_lose(cloudburst_ipoib):
     rpcoib = cloudburst(ib=True)
     assert rpcoib.total_s <= cloudburst_ipoib.total_s * 1.02
+    assert cloudburst_fields(rpcoib) == golden("golden_fig6b_cloudburst.json")["RPCoIB"]
 
 
 def test_fig7_hdfs_write():
@@ -103,3 +138,4 @@ def test_fig7_hdfs_write():
     for label, line in series.items():
         sizes = sorted(line)
         assert line[sizes[-1]] > line[sizes[0]], label
+    assert as_json(result) == golden("golden_fig7.json")

@@ -1,9 +1,23 @@
-"""Smoke tests for the experiment harness modules and CLI plumbing."""
+"""Smoke tests for the experiment harness modules and CLI plumbing.
+
+The Fig. 7 and Fig. 8 single points also compare their result, float
+for float, with a committed fixture (``fixtures/golden_fig7_point.json``,
+``golden_fig8_point.json``).
+"""
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.report import gain, reduction, render_series, render_table
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def golden(name: str):
+    return json.loads((FIXTURES / name).read_text(encoding="utf-8"))
 
 
 def test_registry_covers_all_tables_and_figures():
@@ -85,6 +99,7 @@ def test_fig8_single_point_runs():
     config = next(c for c in CONFIGS if c[0] == "HBaseoIB-RPCoIB")
     kops = throughput_kops(config, "get", records=2000, ops=1600, seeds=[3])
     assert kops > 1.0
+    assert kops == golden("golden_fig8_point.json")["kops"]
 
 
 def test_fig7_single_config_runs():
@@ -93,6 +108,7 @@ def test_fig7_single_config_runs():
     config = next(c for c in CONFIGS if c[0] == "HDFSoIB-RPCoIB")
     t = write_time_s(config, size_gb=0.25, datanodes=4, seeds=[5])
     assert 0.5 < t < 30.0
+    assert t == golden("golden_fig7_point.json")["write_time_s"]
 
 
 def test_runner_cli_rejects_unknown():
