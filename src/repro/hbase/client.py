@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List, Optional
 
 from repro.calibration import IB_RDMA, NetworkSpec
@@ -51,8 +52,6 @@ class HTable:
 
     def _region_for(self, row: str):
         # stable routing (Python's str hash is salted per process)
-        import zlib
-
         index = zlib.crc32(row.encode()) % len(self.regionservers)
         return index, self.regionservers[index]
 
@@ -65,7 +64,9 @@ class HTable:
 
     # ------------------------------------------------------------------
     def get(self, row: str):
-        """Process: read one row; value is the ResultWritable."""
+        """Event: read one row; value is the ResultWritable."""
+        if not self.payload_rdma:  # the RPC call itself
+            return self._proxy(self._region_for(row)[0]).get(GetWritable(row))
         return self.env.process(self._get_proc(row), name=f"hget:{self.node.name}")
 
     def _get_proc(self, row: str):
@@ -81,23 +82,20 @@ class HTable:
         return result
 
     def put(self, row: str, value: Optional[bytes] = None):
-        """Process: write one row; value defaults to ``record_bytes``."""
+        """Event: write one row; value defaults to ``record_bytes``."""
         payload = value if value is not None else b"\x5a" * self.record_bytes
+        if not self.payload_rdma:  # the RPC call itself
+            return self._proxy(self._region_for(row)[0]).put(PutWritable(row, payload))
         return self.env.process(
-            self._put_proc(row, payload), name=f"hput:{self.node.name}"
+            self._put_proc(row, len(payload)), name=f"hput:{self.node.name}"
         )
 
-    def _put_proc(self, row: str, payload: bytes):
+    def _put_proc(self, row: str, nbytes: int):
         index, server = self._region_for(row)
-        if self.payload_rdma:
-            # Ship the payload through registered buffers first; the
-            # RPC request carries only the envelope.
-            yield self.env.timeout(
-                self.model.software.jni_crossing_us
-                + self.model.software.verbs_post_us
-            )
-            yield self.fabric.transfer(self.node, server.node, len(payload), IB_RDMA)
-            request = PutWritable(row, b"", detached_bytes=len(payload))
-        else:
-            request = PutWritable(row, payload)
+        # Ship the payload through registered buffers first; the RPC
+        # request carries only the envelope.
+        sw = self.model.software
+        yield self.env.timeout(sw.jni_crossing_us + sw.verbs_post_us)
+        yield self.fabric.transfer(self.node, server.node, nbytes, IB_RDMA)
+        request = PutWritable(row, b"", detached_bytes=nbytes)
         return (yield self._proxy(index).put(request))

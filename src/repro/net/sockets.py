@@ -15,8 +15,7 @@ from typing import Callable, NamedTuple, Optional
 
 from repro.calibration import CostModel, NetworkSpec
 from repro.net.fabric import Fabric, Node
-from repro.simcore import Environment, Store
-from repro.simcore.process import Process
+from repro.simcore import Environment, Event, Process, Store, Timeout
 
 #: One write()/read() syscall moves at most this much; bigger payloads
 #: cost proportionally more syscalls (JVM SocketOutputStream loops).
@@ -88,16 +87,12 @@ class SimSocket:
         self._rx = bytearray()
         self._waiter = None  # (nbytes, Event) of the single blocked recv
         self._tx_queue: Optional[Store] = None
-        self._tx_worker = None
         self.closed = False
         self._peer_closed = False
         #: callback fired on every delivery (selector integration).
         self.on_data: Optional[Callable[["SimSocket"], None]] = None
         self.bytes_sent = 0
         self.bytes_received = 0
-        # Process names precomputed once (send/recv spawn per message).
-        self._send_name = f"send:{name}"
-        self._recv_name = f"recv:{name}"
         # Cost-model coefficients prebound once per socket: the
         # send/recv cost formulas run per message and the chained
         # ``self.model.software.<coef>`` lookups dominate them.
@@ -117,19 +112,19 @@ class SimSocket:
         self._trace_refs: deque = deque()
 
     # -- sending ----------------------------------------------------------
-    def send(self, data, trace=None) -> Process:
-        """Write ``data`` to the peer; returns the completion Process.
+    def send(self, data, trace=None) -> Timeout:
+        """Write ``data`` to the peer; returns the local-completion event.
 
         ``data`` is bytes or a gather list of chunks (bytes / bytearray
         / memoryview): a list is joined into the wire image exactly once
         here, at the transport boundary — the zero-copy framing paths
         upstream never materialize the message themselves.
 
-        The Process completes when the *local* write is done (TCP
-        semantics: the kernel accepted the bytes) — charged with
-        syscalls (one per 64 KB), per-message NIC host overhead, kernel
-        per-byte CPU, and the JVM-heap -> native copy.  Wire transfer
-        and delivery continue in the background, strictly in order.
+        The event fires when the *local* write is done (TCP semantics:
+        the kernel accepted the bytes) — charged with syscalls (one per
+        64 KB), per-message NIC host overhead, kernel per-byte CPU, and
+        the JVM-heap -> native copy.  The per-socket tx loop then moves
+        the bytes onto the wire in the background, strictly in order.
 
         ``trace`` (a :class:`repro.obs.TraceRef`) rides along out of
         band and is surfaced to the receiver via :meth:`pop_trace`.
@@ -142,13 +137,6 @@ class SimSocket:
         elif kind is not bytes:
             # Snapshot mutable buffers at the send boundary.
             data = bytes(data)  # sim-lint: disable=SIM008
-        return self.env.process(self._send_proc(data, trace), name=self._send_name)
-
-    def pop_trace(self):
-        """Next out-of-band trace ref (FIFO, one per traced frame)."""
-        return self._trace_refs.popleft() if self._trace_refs else None
-
-    def _send_proc(self, data: bytes, trace=None):
         nbytes = len(data)
         # ``-(-n // chunk)`` is exact integer ceil; SYSCALL_CHUNK is a
         # power of two so it matches the float-division form bit-for-bit.
@@ -162,13 +150,19 @@ class SimSocket:
             + nbytes * self._cpu_per_byte_us
             + (self._copy_base_us + nbytes * self._copy_per_byte_us)
         )
-        yield self.env.timeout(cost)
+        done = self.env.timeout(cost)
+        done.callbacks.append(lambda _: self._queue_tx(data, trace))
+        return done
+
+    def pop_trace(self):
+        """Next out-of-band trace ref (FIFO, one per traced frame)."""
+        return self._trace_refs.popleft() if self._trace_refs else None
+
+    def _queue_tx(self, data: bytes, trace) -> None:
         self.bytes_sent += len(data)
         if self._tx_queue is None:
             self._tx_queue = Store(self.env)
-            self._tx_worker = self.env.process(
-                self._tx_loop(), name=f"tx:{self.name}"
-            )
+            self.env.process(self._tx_loop(), name=f"tx:{self.name}")
         if trace is not None and self.peer is not None:
             # Appended in the same step as the tx enqueue below, so the
             # peer's ref order always matches frame order.  A batched
@@ -178,7 +172,7 @@ class SimSocket:
                 self.peer._trace_refs.extend(trace)
             else:
                 self.peer._trace_refs.append(trace)
-        yield self._tx_queue.put(data)
+        self._tx_queue.put(data)
 
     #: wire-delivery granularity: big writes dribble into the receiver
     #: at network speed (TCP windowing), not as one instant delivery.
@@ -221,11 +215,32 @@ class SimSocket:
             self.on_data(self)
 
     def _wake_waiter(self) -> None:
-        if self._waiter is not None:
-            nbytes, event = self._waiter
-            if len(self._rx) >= nbytes or self._peer_closed:
-                self._waiter = None
-                event.succeed()
+        if self._waiter is None:
+            return
+        nbytes, event = self._waiter
+        if len(self._rx) >= nbytes:
+            self._waiter = None
+            # Single-copy extraction: slicing the bytearray first would
+            # copy twice.  Both views are released before the del (a
+            # bytearray with live exports cannot shrink).
+            with memoryview(self._rx) as rx_view:
+                data = bytes(rx_view[:nbytes])  # sim-lint: disable=SIM008
+            del self._rx[:nbytes]
+            self.bytes_received += nbytes
+            syscalls = -(-nbytes // SYSCALL_CHUNK) or 1
+            cost = (
+                syscalls * self._syscall_us
+                + self._host_overhead_us
+                + nbytes * self._cpu_per_byte_us
+            )
+            # Succeed ``cost`` from now, as a Timeout would.
+            event._ok, event._value = True, data
+            self.env.schedule(event, delay=cost)
+        elif self._peer_closed:
+            self._waiter = None
+            event.fail(SocketClosed(
+                f"{self.name}: peer closed with {len(self._rx)}/{nbytes} bytes"
+            ))
 
     # -- receiving ---------------------------------------------------------
     @property
@@ -233,45 +248,25 @@ class SimSocket:
         """Bytes currently readable without blocking."""
         return len(self._rx)
 
-    def recv(self, nbytes: int) -> Process:
-        """Read exactly ``nbytes``; returns the completion Process.
+    def recv(self, nbytes: int) -> Event:
+        """Read exactly ``nbytes``: an event whose value is the bytes.
 
-        Charged on the caller's thread: syscalls + NIC host overhead +
-        kernel per-byte CPU.  (The native->JVM-heap copy is *not*
-        charged here — Listing 2's receive path performs it explicitly
-        when it allocates the heap ByteBuffer, and the RPC server code
-        models that step itself.)
+        It fires once they are all buffered plus the read cost, charged
+        on the caller's thread: syscalls + NIC host overhead + kernel
+        per-byte CPU.  (The native->JVM-heap copy is *not* charged here
+        — Listing 2's receive path performs it explicitly when it
+        allocates the heap ByteBuffer, and the RPC server code models
+        that step itself.)  It fails with SocketClosed if the peer
+        closes first.
         """
         if nbytes < 0:
             raise ValueError(f"negative recv size {nbytes}")
-        return self.env.process(self._recv_proc(nbytes), name=self._recv_name)
-
-    def _recv_proc(self, nbytes: int):
-        while len(self._rx) < nbytes:
-            if self._peer_closed:
-                raise SocketClosed(
-                    f"{self.name}: peer closed with {len(self._rx)}/{nbytes} bytes"
-                )
-            if self._waiter is not None:
-                raise RuntimeError(f"{self.name}: concurrent recv on one socket")
-            event = self.env.event()
-            self._waiter = (nbytes, event)
-            yield event
-        # Single-copy extraction: slicing the bytearray first would copy
-        # twice.  Both views are released before the del (a bytearray
-        # with live exports cannot shrink).
-        with memoryview(self._rx) as rx_view:
-            data = bytes(rx_view[:nbytes])  # sim-lint: disable=SIM008
-        del self._rx[:nbytes]
-        syscalls = -(-nbytes // SYSCALL_CHUNK) or 1
-        cost = (
-            syscalls * self._syscall_us
-            + self._host_overhead_us
-            + nbytes * self._cpu_per_byte_us
-        )
-        yield self.env.timeout(cost)
-        self.bytes_received += nbytes
-        return data
+        if self._waiter is not None:
+            raise RuntimeError(f"{self.name}: concurrent recv on one socket")
+        event = self.env.event()
+        self._waiter = (nbytes, event)
+        self._wake_waiter()
+        return event
 
     # -- teardown ----------------------------------------------------------
     def close(self) -> None:

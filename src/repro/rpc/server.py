@@ -477,8 +477,8 @@ class Server:
                         result = outcome
                     else:
                         if hasattr(outcome, "send") and hasattr(outcome, "throw"):
-                            # Simulated method body: run it on the clock.
-                            outcome = yield self.env.process(outcome)
+                            # Simulated method body: the handler runs it.
+                            outcome = yield from outcome
                         result = outcome if outcome is not None else NullWritable()
                         if not isinstance(result, Writable):
                             raise TypeError(

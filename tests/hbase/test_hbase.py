@@ -85,6 +85,36 @@ def test_payload_rdma_detaches_value(hbase_rdma):
     assert result.value == b""
 
 
+def test_htable_calls_are_the_rpc_calls_without_payload_rdma(hbase):
+    """No process per HTable call: ``get``/``put`` hand back the RPC."""
+
+    def scenario(env):
+        put = hbase.table.put("r", b"value")
+        assert put.name.startswith("call:") and put.name.endswith(".put")
+        yield put
+        get = hbase.table.get("r")
+        assert get.name.startswith("call:") and get.name.endswith(".get")
+        return (yield get)
+
+    assert hbase.run(scenario).value == b"value"
+
+
+def test_htable_calls_ship_the_payload_first_with_payload_rdma(hbase_rdma):
+    client = hbase_rdma.client_node.name
+
+    def scenario(env):
+        put = hbase_rdma.table.put("r", b"x" * 512)
+        assert put.name == f"hput:{client}"
+        yield put
+        get = hbase_rdma.table.get("r")
+        assert get.name == f"hget:{client}"
+        return (yield get)
+
+    result = hbase_rdma.run(scenario)
+    assert result.value == b""
+    assert result.detached_bytes > 0
+
+
 def test_get_misses_cost_more_when_cold(hbase):
     hbase.hbase.preload(record_count=4000)
 

@@ -5,6 +5,7 @@ import pytest
 from repro.io.writables import BytesWritable, IntWritable, Text
 from repro.rpc import RemoteException
 from repro.rpc.engine import RpcProxy
+from repro.simcore.process import Process
 
 
 def test_echo_roundtrip(harness):
@@ -80,6 +81,58 @@ def test_simulated_slow_method_holds_handler(harness):
 
     elapsed = harness.run(caller)
     assert elapsed >= harness.service.delay_us
+
+
+def test_method_body_runs_in_the_handler_process(harness, monkeypatch):
+    """The handler thread runs a simulated method body: no process of
+    its own."""
+    started = []
+    original = Process.__init__
+
+    def recording(self, env, generator, name=""):
+        started.append(getattr(generator, "__name__", ""))
+        original(self, env, generator, name)
+
+    monkeypatch.setattr(Process, "__init__", recording)
+
+    def caller(env):
+        yield harness.proxy.slow(BytesWritable(b"x"))
+
+    harness.run(caller)
+    assert started and "slow" not in started
+
+
+def _raising_body(env, exc):
+    """A simulated method body that fails after holding the handler."""
+    yield env.timeout(100.0)
+    raise exc
+
+
+def test_raising_method_body_reaches_the_caller(harness):
+    harness.service.boom = lambda: _raising_body(
+        harness.env, ValueError("body failed")
+    )
+
+    def caller(env):
+        yield harness.proxy.boom()
+
+    with pytest.raises(RemoteException, match="body failed"):
+        harness.run(caller)
+    assert harness.server.calls_errored == 1
+
+
+def test_assertion_in_method_body_crashes_the_run(harness):
+    """An engine error in a body is not serialized to the caller."""
+    harness.service.boom = lambda: _raising_body(
+        harness.env, AssertionError("invariant broken")
+    )
+
+    def caller(env):
+        yield harness.proxy.boom()
+
+    with pytest.raises(AssertionError, match="invariant broken"):
+        harness.run(caller)
+    assert harness.server.calls_errored == 0
 
 
 def test_concurrent_callers_multiplex_one_connection(harness):
