@@ -124,12 +124,12 @@ def function_defs(tree: ast.AST) -> Iterator[ast.FunctionDef]:
 
 
 def own_body_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function's body without descending into nested defs."""
+    """Walk a function's body, lambdas included, but not nested defs."""
     stack = list(ast.iter_child_nodes(func))
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         stack.extend(ast.iter_child_nodes(node))
 

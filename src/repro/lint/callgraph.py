@@ -386,6 +386,12 @@ class CallGraph:
         for node in astutil.own_body_nodes(func.node):
             if not isinstance(node, ast.Call):
                 continue
+            if isinstance(node.func, ast.Attribute) and len(node.args) == 1 and (
+                node.func.attr == "add_callback" or node.func.attr == "append"
+                and getattr(node.func.value, "attr", None) == "callbacks"
+            ):
+                # A callback f registered on an event runs as if called here.
+                node = ast.Call(func=node.args[0], args=[], keywords=[])
             receiver = self._call_receiver(func, node, aliases)
             for callee in self.resolve_call(func, node, aliases, local_types):
                 if receiver is None:

@@ -548,6 +548,92 @@ def test_sim009_not_applied_outside_src():
     assert lint_source(src, "tests/test_mux.py", in_src=False) == []
 
 
+def _socket_source(send_body: str, extra: str = "") -> str:
+    """Two spawned pumps send on one shared socket; ``send_body`` is
+    the body of ``Sock.send``."""
+    return (
+        "class Sock:\n"
+        "    def __init__(self, env):\n"
+        "        self.env = env\n"
+        "        self.sent = 0\n"
+        "    def send(self, n):\n"
+        f"{send_body}"
+        f"{extra}"
+        "\n"
+        "class Pump:\n"
+        "    def __init__(self, env, sock):\n"
+        "        self.env = env\n"
+        "        self.sock = sock\n"
+        "    def loop(self):\n"
+        "        while True:\n"
+        "            yield self.sock.send(1)\n"
+        "\n"
+        "def build(env, sock):\n"
+        "    for _ in range(2):\n"
+        "        env.process(Pump(env, sock).loop())\n"
+    )
+
+
+_SENT_CALLBACK = (
+    "    def _sent(self, event):\n"
+    "        self.sent = self.sent + 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "send_body, extra",
+    [
+        # the write in a generator the body runs ...
+        (
+            "        yield self.env.timeout(1.0)\n"
+            "        self.sent = self.sent + 1\n",
+            "",
+        ),
+        # ... moved into a callback registered on the completion event
+        (
+            "        done = self.env.timeout(1.0)\n"
+            "        done.callbacks.append(self._sent)\n"
+            "        return done\n",
+            _SENT_CALLBACK,
+        ),
+        (
+            "        done = self.env.timeout(1.0)\n"
+            "        done.add_callback(self._sent)\n"
+            "        return done\n",
+            _SENT_CALLBACK,
+        ),
+        (
+            "        done = self.env.timeout(1.0)\n"
+            "        done.callbacks.append(lambda event: self._sent(event))\n"
+            "        return done\n",
+            _SENT_CALLBACK,
+        ),
+    ],
+    ids=["generator", "callbacks-append", "add-callback", "lambda"],
+)
+def test_sim009_follows_a_write_into_an_event_callback(send_body, extra):
+    """A callback runs in the step that processes its event, on behalf
+    of the body that registered it: moving a write there from the
+    generator hides nothing."""
+    findings = lint_source(
+        _socket_source(send_body, extra), "/x/src/repro/net/sock.py", in_src=True
+    )
+    assert rules_of(findings) == ["SIM009"]
+    assert "Sock.sent" in findings[0].message
+    assert "Pump.loop (multiple concurrent instances)" in findings[0].message
+
+
+def test_sim009_commuting_increment_in_a_callback_is_exempt():
+    src = _socket_source(
+        "        done = self.env.timeout(1.0)\n"
+        "        done.callbacks.append(lambda event: self._sent(event))\n"
+        "        return done\n",
+        "    def _sent(self, event):\n"
+        "        self.sent += 1\n",
+    )
+    assert lint_source(src, "/x/src/repro/net/sock.py", in_src=True) == []
+
+
 # -- SIM010 (whole-program) -------------------------------------------------
 
 
