@@ -93,7 +93,9 @@ def function_effects(func: FunctionInfo) -> List[AttrAccess]:
     revalidation-cache idiom (``if self._stamp != v: self._stamp = v;
     self._cache = ...`` or lazy init ``if self._pool is None: self._pool
     = ...``).  Any same-timestamp interleaving of such blocks converges
-    to the same state, so SIM009 exempts them.
+    to the same state, so SIM009 exempts them.  An augmented assignment
+    accumulates rather than converges and is never guarded (a literal
+    ``+= 1`` is exempt as a commuting ``incr`` instead).
     """
     if func.cls is None:
         return []
@@ -126,8 +128,7 @@ def function_effects(func: FunctionInfo) -> List[AttrAccess]:
             if attr is None:
                 continue
             kind = "incr" if _is_literal_increment(node) else "write"
-            guarded = _write_is_guarded(node, attr, func, parents, written_in)
-            accesses.append(AttrAccess(attr, kind, func, node, guarded))
+            accesses.append(AttrAccess(attr, kind, func, node))
             # The target's Load half (if any) is implicit; don't also
             # record a read for the same attribute from this node.
             incr_value_ids.add(id(node.target))

@@ -277,7 +277,7 @@ def check_sim002(ctx: LintContext) -> Iterator[Finding]:
                 node,
                 "SIM002",
                 f"{resolved}() bypasses the seeded stream registry — use "
-                "RngRegistry.np_stream(name)",
+                "RngRegistry.stream(name)",
             )
 
 
@@ -586,8 +586,7 @@ def check_sim006(ctx: LintContext) -> Iterator[Finding]:
 # --------------------------------------------------------------------------
 
 #: Approved draw/seed entry points of repro.simcore.rng.
-_RNG_ENTRY_POINTS = ("stream", "np_stream", "named_stream", "RngRegistry",
-                     "stable_seed")
+_RNG_ENTRY_POINTS = ("stream", "named_stream", "RngRegistry", "stable_seed")
 
 
 def _volatile_seed_source(node: ast.AST) -> Optional[str]:

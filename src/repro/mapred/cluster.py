@@ -5,6 +5,7 @@ the paper's testbed)."""
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional
 
 from repro.calibration import NetworkSpec
@@ -50,6 +51,7 @@ class MapReduceCluster:
         rng = rng or named_stream("mapred-cluster")
         self._rng = rng
         self.job_confs: Dict[str, JobConf] = {}
+        self._job_ids = itertools.count(1)
         self.jobtracker = JobTracker(
             fabric,
             master_node,
@@ -117,6 +119,8 @@ class MapReduceCluster:
     # ------------------------------------------------------------------
     def submit_job(self, conf: JobConf):
         """Process: submit ``conf`` and wait for completion -> JobResult."""
+        if not conf.job_id:
+            conf.job_id = f"job_{next(self._job_ids):04d}"
         self.job_confs[conf.job_id] = conf
         self.jobtracker.stage_job(conf)
         return self.env.process(self._run_job(conf), name=f"job:{conf.job_id}")

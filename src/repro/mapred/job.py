@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -44,9 +43,6 @@ class TaskModel:
     synthetic_input: bool = False
 
 
-_JOB_IDS = itertools.count(1)
-
-
 @dataclass
 class JobConf:
     """Everything the JobTracker needs to run one job."""
@@ -57,11 +53,9 @@ class JobConf:
     model: TaskModel = field(default_factory=TaskModel)
     output_path: str = "/out"
     output_replication: int = 3
-    job_id: str = ""
+    job_id: str = ""  # empty: numbered by the cluster it is submitted to
 
     def __post_init__(self) -> None:
-        if not self.job_id:
-            self.job_id = f"job_{next(_JOB_IDS):04d}"
         if not self.splits:
             raise ValueError(f"{self.name}: a job needs at least one split")
         if self.num_reduces < 0:

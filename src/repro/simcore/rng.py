@@ -6,8 +6,7 @@ component does not perturb another's draws — the standard DES
 variance-reduction discipline.
 
 This module is the only place simulation code may touch the raw
-``random``/``numpy.random`` generators (rule SIM002 of
-:mod:`repro.lint` enforces this).  Components either receive a stream
+``random`` generators (rule SIM002 of :mod:`repro.lint` enforces this).  Components either receive a stream
 from their cluster, or default to :func:`named_stream`, whose seed
 derivation is stable across interpreter runs — never the builtin
 ``hash()``, which is salted per process by ``PYTHONHASHSEED``.
@@ -19,8 +18,6 @@ import hashlib
 import random
 import zlib
 from typing import Dict
-
-import numpy as np
 
 #: Re-export so simulation modules need no direct ``import random``.
 Random = random.Random
@@ -58,7 +55,6 @@ class RngRegistry:
     def __init__(self, seed: int = DEFAULT_SEED):
         self.seed = int(seed)
         self._streams: Dict[str, random.Random] = {}
-        self._np_streams: Dict[str, np.random.Generator] = {}
 
     def _derive(self, name: str) -> int:
         digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
@@ -69,12 +65,6 @@ class RngRegistry:
         if name not in self._streams:
             self._streams[name] = random.Random(self._derive(name))
         return self._streams[name]
-
-    def np_stream(self, name: str) -> np.random.Generator:
-        """A NumPy generator dedicated to ``name`` (bulk array draws)."""
-        if name not in self._np_streams:
-            self._np_streams[name] = np.random.default_rng(self._derive(name))
-        return self._np_streams[name]
 
     def fork(self, salt: str) -> "RngRegistry":
         """A registry whose streams are all independent of this one's."""

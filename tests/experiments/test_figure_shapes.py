@@ -47,7 +47,8 @@ def as_json(result):
 
 
 def cloudburst_fields(result) -> dict:
-    """A CloudBurst result as JSON, minus the interpreter-wide job ids."""
+    """A CloudBurst result as JSON, minus the job ids, which the fixture
+    left out while they came from an interpreter-wide counter."""
     fields = asdict(result)
     for job in fields.values():
         del job["job_id"]

@@ -634,6 +634,40 @@ def test_sim009_commuting_increment_in_a_callback_is_exempt():
     assert lint_source(src, "/x/src/repro/net/sock.py", in_src=True) == []
 
 
+def test_sim009_accumulation_under_a_revalidation_guard_is_flagged():
+    """The guard converges ``_waiter``, not a counter that the same
+    ``if`` adds to: each interleaving of the two bodies sums ``sent``
+    in a different order."""
+    src = _socket_source(
+        "        if self._waiter is not None:\n"
+        "            self._waiter = None\n"
+        "            self.sent += n\n"
+        "        return self.env.timeout(1.0)\n"
+    )
+    findings = lint_source(src, "/x/src/repro/net/sock.py", in_src=True)
+    assert rules_of(findings) == ["SIM009"]
+    assert "Sock.sent" in findings[0].message
+
+
+@pytest.mark.parametrize(
+    "send_body",
+    [
+        "        if self._stamp != n:\n"
+        "            self._stamp = n\n"
+        "            self._cache = n * 2\n"
+        "        return self.env.timeout(1.0)\n",
+        "        if self._waiter is not None:\n"
+        "            self._waiter = None\n"
+        "            self.sent += 1\n"
+        "        return self.env.timeout(1.0)\n",
+    ],
+    ids=["revalidation", "guarded-increment"],
+)
+def test_sim009_revalidation_and_guarded_increment_stay_exempt(send_body):
+    src = _socket_source(send_body)
+    assert lint_source(src, "/x/src/repro/net/sock.py", in_src=True) == []
+
+
 # -- SIM010 (whole-program) -------------------------------------------------
 
 

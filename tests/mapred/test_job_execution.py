@@ -4,6 +4,7 @@ import pytest
 
 from repro.mapred.job import InputSplit, JobConf, TaskModel
 from repro.units import MB
+from tests.mapred.conftest import MrHarness
 
 
 def test_sort_like_job_completes(mr_harness):
@@ -142,7 +143,29 @@ def test_job_conf_validation():
         JobConf("neg", [InputSplit("x", 0, 1)], num_reduces=-1)
 
 
-def test_job_ids_unique():
-    a = JobConf("a", [InputSplit("x", 0, 1)], num_reduces=0)
-    b = JobConf("b", [InputSplit("x", 0, 1)], num_reduces=0)
-    assert a.job_id != b.job_id
+def _run_tiny_jobs(harness, names):
+    """Submit one map-only synthetic job per name; return their results."""
+
+    def scenario(env):
+        results = []
+        for name in names:
+            model = TaskModel(synthetic_input=True, map_output_ratio=0.0)
+            job = JobConf(name, [InputSplit("synthetic", 0, MB)], num_reduces=0, model=model)
+            results.append((yield harness.mr.submit_job(job)))
+        return results
+
+    return harness.run(scenario)
+
+
+def test_job_ids_unique(mr_harness):
+    """Two jobs on one cluster get different ids, numbered at submission."""
+    a, b = _run_tiny_jobs(mr_harness, ["a", "b"])
+    assert (a.job_id, b.job_id) == ("job_0001", "job_0002")
+
+
+def test_fresh_cluster_numbers_jobs_from_one(mr_harness):
+    """A job's id (and with it every message that carries it) does not
+    depend on how many jobs the process ran before."""
+    _run_tiny_jobs(mr_harness, ["earlier"])
+    (fresh,) = _run_tiny_jobs(MrHarness(), ["fresh"])
+    assert fresh.job_id == "job_0001"

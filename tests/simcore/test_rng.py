@@ -32,12 +32,6 @@ def test_stream_is_cached():
     assert reg.stream("x") is reg.stream("x")
 
 
-def test_np_stream_deterministic():
-    a = RngRegistry(seed=7).np_stream("n").integers(0, 1000, size=10)
-    b = RngRegistry(seed=7).np_stream("n").integers(0, 1000, size=10)
-    assert (a == b).all()
-
-
 def test_fork_independent_of_parent():
     parent = RngRegistry(seed=1)
     child = parent.fork("sub")

@@ -51,6 +51,14 @@ def test_every_step_runs_a_command_or_uses_an_action(jobs):
         assert step.get("run") or step.get("uses"), where
 
 
+def test_lint_and_chaos_jobs_run_on_the_standard_library(jobs):
+    """The runtime imports no third-party package, so the jobs that only
+    lint and run experiments install nothing."""
+    for name in ("lint", "chaos"):
+        for step in jobs[name]["steps"]:
+            assert "pip install" not in str(step.get("run", "")), name
+
+
 def _step_words(jobs):
     """(where, words) of every step's command, cut at its first ``|``."""
     for where, step in _steps(jobs):
