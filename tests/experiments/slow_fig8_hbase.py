@@ -5,9 +5,18 @@ the default test run (``python_files`` collects ``test_*.py`` only).
 CI's ``fig8`` job runs it by path:
 
     PYTHONPATH=src python -m pytest -q tests/experiments/slow_fig8_hbase.py
+
+It also compares the grid it computed, float for float, with the
+committed fixture ``fixtures/golden_fig8_grid.json`` (dumped with
+``json.dump(..., indent=2, sort_keys=True)``; int keys become strings).
 """
 
+import json
+from pathlib import Path
+
 from repro.experiments import fig8_hbase
+
+FIXTURE = Path(__file__).parent / "fixtures" / "golden_fig8_grid.json"
 
 
 def test_fig8_ycsb():
@@ -32,3 +41,6 @@ def test_fig8_ycsb():
     gains = result["gains_avg"]
     assert gains["put"] > 0.02
     assert gains["mix"] > -0.02
+    assert json.loads(json.dumps(result)) == json.loads(
+        FIXTURE.read_text(encoding="utf-8")
+    )
