@@ -571,8 +571,14 @@ class BaseConnection:
                 dspan.annotate(key, value)
             dspan.end()
         self._absorb(ledger)
-        self._note_activity()
-        self._wake_keeper()
+        if not self.WINDOWED:
+            self._note_activity()
+            self._wake_keeper()
+        elif call.deadline is not None:
+            # Keeper activity is wire I/O, so the sender's flush touches
+            # and kicks.  A deadline is all an enqueue can move earlier
+            # than the keeper's armed wake (a shorter reloaded timeout).
+            self._wake_keeper()
         return {
             "adjustments": adjustments,
             "serialization_us": serialization_us,

@@ -16,7 +16,11 @@ is mixed into the same transport classes (``MuxSocketConnection``,
 * **One connection per (address, transport)** — all callers and all
   protocols on a node share it, with the connection's keeper process
   running exactly once per mux (deadlines, keepalive pings, idle
-  teardown — unchanged semantics, shared enforcement).
+  teardown — unchanged semantics, shared enforcement).  Its activity
+  is wire I/O, as on a direct connection: each flush and each received
+  frame touches ``last_activity`` and re-arms the keeper once, however
+  many calls it carries; an enqueue touches nothing and kicks the
+  keeper only for a call with a deadline.
 * **A queue and one sender** — each caller still encodes its own call
   on its own simulated thread; the connection's ``send_call`` then
   enqueues the payload here.  One sender process drains the queue under

@@ -86,8 +86,23 @@ def test_connect_backoff_policies(policy, expected_backoff_us):
         assert h.run(caller) == pytest.approx(expected_backoff_us)
 
 
-def test_call_timeout_fires_while_handler_is_slow():
+# The keeper's semantics do not depend on the dispatch policy: a
+# windowed connection touches ``last_activity`` and re-arms the keeper
+# on wire I/O, as a direct one does, so both expect the same times.
+DISPATCH = pytest.mark.parametrize(
+    "windowed", [False, True], ids=["direct", "windowed"]
+)
+
+
+def keeper_harness(windowed: bool) -> RpcHarness:
     harness = RpcHarness(ib=False)
+    harness.conf.set("ipc.client.async.enabled", windowed)
+    return harness
+
+
+@DISPATCH
+def test_call_timeout_fires_while_handler_is_slow(windowed):
+    harness = keeper_harness(windowed)
     harness.conf.set("ipc.client.call.timeout", 100_000.0)
     harness.conf.set("ipc.client.call.max.retries", 0)
     harness.service.delay_us = 500_000.0
@@ -95,13 +110,14 @@ def test_call_timeout_fires_while_handler_is_slow():
     def caller(env):
         yield harness.proxy.slow(Text("x"))
 
-    with pytest.raises(RpcTimeoutError, match="timed out"):
+    with pytest.raises(RpcTimeoutError, match="timed out after 100000us"):
         harness.run(caller)
     assert harness.env.now < 500_000.0  # gave up well before the handler
 
 
-def test_ping_keepalive_during_a_long_call():
-    harness = RpcHarness(ib=False)
+@DISPATCH
+def test_ping_keepalive_during_a_long_call(windowed):
+    harness = keeper_harness(windowed)
     harness.conf.set("ipc.ping.interval", 50_000.0)
     harness.service.delay_us = 300_000.0
 
@@ -109,11 +125,13 @@ def test_ping_keepalive_during_a_long_call():
         return (yield harness.proxy.slow(Text("alive")))
 
     assert harness.run(caller) == Text("alive")
-    assert harness.server.ping_counter.value >= 4
+    # One ping per 50 ms of wire silence during the 300 ms call.
+    assert harness.server.ping_counter.value == 6
 
 
-def test_ping_disabled_by_config():
-    harness = RpcHarness(ib=False)
+@DISPATCH
+def test_ping_disabled_by_config(windowed):
+    harness = keeper_harness(windowed)
     harness.conf.set("ipc.ping.interval", 50_000.0)
     harness.conf.set("ipc.client.ping", False)
     harness.service.delay_us = 300_000.0
@@ -125,21 +143,34 @@ def test_ping_disabled_by_config():
     assert harness.server.ping_counter.value == 0
 
 
-def test_idle_connection_torn_down_and_lazily_rebuilt():
-    harness = RpcHarness(ib=False)
+@DISPATCH
+def test_idle_connection_torn_down_and_lazily_rebuilt(monkeypatch, windowed):
+    harness = keeper_harness(windowed)
     harness.conf.set("ipc.client.connection.maxidletime", 100_000.0)
+    dropped_at = []
+    original_drop = type(harness.client)._drop_connection
+
+    def timed_drop(client, conn):
+        dropped_at.append(harness.env.now)
+        original_drop(client, conn)
+
+    monkeypatch.setattr(type(harness.client), "_drop_connection", timed_drop)
 
     def caller(env):
         yield harness.proxy.echo(Text("a"))
+        answered_at = env.now
         first = list(harness.client._connections.values())
         yield env.timeout(300_000)  # > maxidletime of silence
         idle_dropped = len(harness.client._connections) == 0
         got = yield harness.proxy.echo(Text("b"))
         second = list(harness.client._connections.values())
-        return first, idle_dropped, got, second
+        return answered_at, first, idle_dropped, got, second
 
-    first, idle_dropped, got, second = harness.run(caller)
+    answered_at, first, idle_dropped, got, second = harness.run(caller)
     assert idle_dropped
+    # The response was the last wire I/O; teardown came maxidletime later.
+    assert first[0].last_activity == answered_at
+    assert dropped_at == [answered_at + 100_000.0]
     assert got == Text("b")
     assert second and second[0] is not first[0]  # a genuinely new connection
 
