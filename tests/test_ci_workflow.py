@@ -59,6 +59,36 @@ def test_lint_and_chaos_jobs_run_on_the_standard_library(jobs):
             assert "pip install" not in str(step.get("run", "")), name
 
 
+#: what each other job pip-installs.  The runtime, ``benchmarks/suite``
+#: and the goldens, experiments, dashboard and examples those jobs run
+#: import only the standard library, so they need pytest at most; only
+#: the full test suite imports numpy, hypothesis and yaml.
+JOB_INSTALLS = {
+    "benchmark": set(),
+    "experiments": {"pytest"},
+    "ha": {"pytest"},
+    "incast": {"pytest"},
+    "crossover": {"pytest"},
+    "bench-selftest": {"pytest"},
+    "fig8": {"pytest"},
+    "tests": {"numpy", "pytest", "hypothesis", "pyyaml"},
+    "coverage": {"numpy", "pytest", "hypothesis", "pytest-cov", "pyyaml"},
+}
+
+
+def test_each_other_job_installs_only_what_it_imports(jobs):
+    assert set(jobs) == set(JOB_INSTALLS) | {"lint", "chaos"}
+    for name, expected in JOB_INSTALLS.items():
+        installed = set()
+        for step in jobs[name]["steps"]:
+            words = str(step.get("run", "")).split()
+            if words[:4] == ["python", "-m", "pip", "install"]:
+                installed.update(words[4:])
+            else:
+                assert "pip install" not in " ".join(words), name
+        assert installed == expected, name
+
+
 def _step_words(jobs):
     """(where, words) of every step's command, cut at its first ``|``."""
     for where, step in _steps(jobs):
