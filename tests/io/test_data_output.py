@@ -7,6 +7,7 @@ import pytest
 from repro.calibration import CostModel
 from repro.io import BufferedOutputStream, BytesSink, DataOutputBuffer, DataOutputStream
 from repro.mem import CostLedger
+from repro.rpc.call import frame_chunks
 
 
 @pytest.fixture
@@ -214,19 +215,20 @@ def test_buffered_stream_flushes_when_full(ledger):
 
 
 def test_buffered_stream_writes_large_directly(ledger):
-    sink = BytesSink()
-    buffered = BufferedOutputStream(sink, ledger, buffer_size=8)
-    copies_before = ledger.counts.copy_bytes
-    buffered.write_bytes(b"x" * 100)
-    assert sink.chunks == [b"x" * 100]
-    assert ledger.counts.copy_bytes == copies_before  # no buffering copy
+    """A message at least as long as Listing 1's 8 KB stream buffer is
+    written straight through: only the length prefix is copied."""
+    message = b"x" * 8192
+    chunks = frame_chunks(message, ledger)
+    assert chunks[-1] is message
+    assert ledger.counts.copy_bytes == 4  # the length prefix alone
 
 
 def test_buffered_stream_charges_buffer_alloc(ledger):
-    allocs = ledger.counts.allocations
-    BufferedOutputStream(BytesSink(), ledger, buffer_size=8192)
-    assert ledger.counts.allocations == allocs + 1
-    assert ledger.counts.alloc_bytes >= 8192
+    """Every framed message allocates one 8 KB stream buffer."""
+    for frames in (1, 2):
+        frame_chunks(b"ping", ledger)
+        assert ledger.counts.allocations == frames
+        assert ledger.counts.alloc_bytes == frames * 8192
 
 
 def test_buffered_stream_size_validated(ledger):

@@ -4,9 +4,11 @@ The fast path changes *how* bytes move on the host (pack_into into the
 backing array, views instead of copies) but must charge the simulated
 ledger exactly as the original code did — the ledger models Java's
 behavior (Table I), not ours.  The first probe drives every primitive
-write plus the buffered framing path and compares totals,
-per-category breakdown, and op counts against a fixture captured
-before the fast path landed.  The second probe does the same for the
+write, frames the message through the socket path's ``frame_chunks``
+(shorter than Listing 1's 8 KB stream buffer, so copied into it), then
+frames one buffer-sized message (written straight through), and
+compares totals, per-category breakdown, and op counts against a
+fixture.  The second probe does the same for the
 RPCoIB codec: an ``RDMAOutputStream`` over a small-class pool (with
 pool doublings), detached to the ``bytes`` snapshot ``post_send``
 takes, then decoded by the verbs-side reader on a fresh ledger.
@@ -16,13 +18,13 @@ import json
 from pathlib import Path
 
 from repro.calibration import CostModel
-from repro.io.buffered import BufferedOutputStream, BytesSink
 from repro.io.data_input import DataInputBuffer
-from repro.io.data_output import DataOutputBuffer, DataOutputStream
+from repro.io.data_output import DataOutputBuffer
 from repro.io.rdma_streams import RDMAOutputStream
 from repro.mem.cost import CostLedger
 from repro.mem.native_pool import NativeBufferPool
 from repro.mem.shadow_pool import HistoryShadowPool
+from repro.rpc.call import frame_chunks
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE = FIXTURES / "golden_ledger_probe.json"
@@ -64,16 +66,14 @@ def probe():
     ledger = CostLedger(CostModel())
     buf = DataOutputBuffer(ledger)
     write_primitives(buf)
-    sink = BytesSink()
-    buffered = BufferedOutputStream(sink, ledger, buffer_size=256)
-    out = DataOutputStream(buffered, ledger)
-    out.write_int(buf.get_length())
-    buffered.write_bytes(buf.get_data())
-    out.flush()
+    frames = [
+        frame_chunks(buf.get_view(), ledger),
+        frame_chunks(bytes(8192), ledger),
+    ]
     return {
         **charges(ledger),
         "payload_len": buf.get_length(),
-        "framed": len(sink.getvalue()),
+        "framed": [len(b"".join(frame)) for frame in frames],
     }
 
 

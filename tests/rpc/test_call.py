@@ -8,7 +8,8 @@ from repro.mem import CostLedger
 from repro.rpc import ConnectionHeader, Invocation, RemoteException, RpcStatus
 from repro.rpc.protocol import RpcProtocol, VersionMismatch
 from repro.simcore import Environment
-from repro.rpc.call import Call
+from repro.rpc.call import Call, frame_chunks
+from repro.rpc.mux import call_frame_bytes
 
 
 @pytest.fixture
@@ -44,6 +45,29 @@ def test_connection_header_roundtrip(ledger):
     back.read_fields(DataInputBuffer(out.get_data(), ledger))
     assert back.protocol == "mapred.TaskUmbilicalProtocol"
     assert back.version == 19
+
+
+@pytest.mark.parametrize("length", [0, 1, 8191, 8192, 8193, 20_000])
+def test_frame_chunks_charges_listing1_at_the_buffer_boundary(length):
+    """Listing 1 lines 10-13 as charges, in this order: the stream's
+    8 KB heap buffer, ``writeInt(length)`` as a write op plus a 4-byte
+    copy, then one copy of a message shorter than the buffer (a longer
+    one is written straight through).  Float sums follow call order, so
+    the framed ledger must equal the hand-charged one bit for bit."""
+    message = memoryview(bytes(i % 251 for i in range(length)))
+    framed = CostLedger(CostModel.default())
+    chunks = frame_chunks(message, framed)
+    by_hand = CostLedger(CostModel.default())
+    by_hand.charge_heap_alloc(8192)
+    by_hand.charge_write_op(4)
+    by_hand.charge_copy(4)
+    if length < 8192:
+        by_hand.charge_copy(length)
+    assert framed.total_us == by_hand.total_us
+    assert framed.gc_debt_us == by_hand.gc_debt_us
+    assert framed.by_category == by_hand.by_category
+    assert framed.counts == by_hand.counts
+    assert b"".join(chunks) == call_frame_bytes(message)
 
 
 def test_rpc_status_values():

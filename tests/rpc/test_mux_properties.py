@@ -9,13 +9,18 @@ The three mux invariants from the PR acceptance list:
 * the batched wire frame is byte-identical to the concatenation of the
   per-call frames the call-at-a-time path would have sent (checked
   both on the pure helpers and against the real encoders' wire bytes,
-  on sockets and on RPCoIB).
+  on sockets and on RPCoIB);
+* a socket flush charges Listing 1's stream costs and nothing else.
 """
+
+from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.io.writables import Text
+from repro.io.writables import BytesWritable, Text
+from repro.mem.cost import CostLedger
+from repro.net import sockets as simsockets
 from repro.net.verbs import QueuePair
 from repro.rpc.call import BATCH_CALL_ID, Call
 from repro.rpc.client import IBConnection, SocketConnection
@@ -205,8 +210,6 @@ def test_real_encoder_matches_the_canonical_batch_bytes(nc, ib):
             env.process(caller(i), name=f"caller{i}") for i in range(nc)
         ]
         # capture the joined wire image of every batch frame
-        from repro.net import sockets as simsockets
-
         original_send = simsockets.SimSocket.send
         original_post = QueuePair.post_send
 
@@ -246,3 +249,71 @@ def test_real_encoder_matches_the_canonical_batch_bytes(nc, ib):
         else:
             assert wire == expected
             assert nbytes == len(expected)
+
+
+def test_socket_flush_charges_listing1_and_sends_the_canonical_batch(monkeypatch):
+    """Listing 1's ``DataOutputStream(BufferedOutputStream(socket))``
+    costs, for a window frame: one 8 KB heap buffer, a write op and a
+    4-byte copy per ``writeInt`` (the three header ints, then each
+    call's length), and one copy of each payload shorter than the
+    buffer.  The 9,000-byte call bypasses the buffer; the small one is
+    copied in.  Every flush leaves its ledger exactly as charging that
+    rule by hand does, and sends the ``batch_frame_chunks`` image."""
+    harness = _mux_harness(ib=False, window=2)
+    env = harness.env
+    drained = []  # every ledger's state as it drains, in drain order
+    flushes = []  # (payloads, index of the flush's drain)
+    sends = []
+    original_drain = CostLedger.drain
+    original_send_batch = SocketConnection._send_batch
+    original_send = simsockets.SimSocket.send
+
+    def recording_drain(ledger):
+        drained.append((
+            ledger.total_us, ledger.gc_debt_us, dict(ledger.by_category),
+            replace(ledger.counts),
+        ))
+        return original_drain(ledger)
+
+    def capturing_send_batch(self, batch):
+        # The flush's ledger drains before anything else runs.
+        flushes.append(([bytes(entry[1]) for entry in batch], len(drained)))
+        yield from original_send_batch(self, batch)
+
+    def capturing_send(self, data, trace=None):
+        if type(trace) is list:  # batch frames carry one ref per call
+            sends.append(b"".join(bytes(chunk) for chunk in data))
+        return original_send(self, data, trace=trace)
+
+    monkeypatch.setattr(CostLedger, "drain", recording_drain)
+    monkeypatch.setattr(SocketConnection, "_send_batch", capturing_send_batch)
+    monkeypatch.setattr(simsockets.SimSocket, "send", capturing_send)
+
+    def caller(value):
+        yield harness.proxy.echo(value)
+
+    env.run(env.all_of([
+        env.process(caller(BytesWritable(bytes(9000))), name="big"),
+        env.process(caller(Text("small")), name="small"),
+    ]))
+
+    (conn,) = harness.client._connections.values()
+    sizes = sorted(len(p) for payloads, _ in flushes for p in payloads)
+    assert len(sizes) == 2 and sizes[0] < 8192 <= sizes[1]
+    assert len(sends) == len(flushes)
+    for (payloads, at), wire in zip(flushes, sends):
+        by_hand = CostLedger(conn.model)
+        by_hand.charge_heap_alloc(8192)
+        for _ in range(3):  # total length, BATCH_CALL_ID, count
+            by_hand.charge_write_op(4)
+            by_hand.charge_copy(4)
+        for payload in payloads:
+            by_hand.charge_write_op(4)
+            by_hand.charge_copy(4)
+            if len(payload) < 8192:
+                by_hand.charge_copy(len(payload))
+        assert drained[at] == (
+            by_hand.total_us, by_hand.gc_debt_us, dict(by_hand.by_category),
+            by_hand.counts,
+        )
+        assert wire == b"".join(bytes(c) for c in batch_frame_chunks(payloads))
