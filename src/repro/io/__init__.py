@@ -2,20 +2,20 @@
 
 This package re-implements the serialization machinery the paper
 analyzes in Section II — ``DataOutputBuffer`` with its Algorithm 1
-growth policy, buffered socket streams, the ``Writable`` type system —
-and the Section III replacement, ``RDMAOutputStream``, which
-serializes straight into pooled, pre-registered native buffers.  The
-RPCoIB receive side decodes a completion's bytes with the same
-``DataInputBuffer`` the socket path uses.
+growth policy and the ``Writable`` type system — and the Section III
+replacement, ``RDMAOutputStream``, which serializes straight into
+pooled, pre-registered native buffers.  The RPCoIB receive side
+decodes a completion's bytes with the same ``DataInputBuffer`` the
+socket path uses.  Listing 1's buffered socket stream is only a cost,
+charged by :func:`repro.rpc.call.stream_frame`.
 
 The streams run eagerly on real bytes; their mechanical costs
 (allocations, copies, primitive ops) accumulate in a
 :class:`~repro.mem.cost.CostLedger` owned by the calling activity.
 """
 
-from repro.io.data_output import DataOutput, DataOutputBuffer, DataOutputStream
+from repro.io.data_output import DataOutput, DataOutputBuffer
 from repro.io.data_input import DataInput, DataInputBuffer, EndOfStream
-from repro.io.buffered import BufferedOutputStream, BytesSink, VectorSink
 from repro.io.writable import (
     ObjectWritable,
     Writable,
@@ -41,14 +41,11 @@ from repro.io.rdma_streams import RDMAOutputStream
 __all__ = [
     "ArrayWritable",
     "BooleanWritable",
-    "BufferedOutputStream",
-    "BytesSink",
     "BytesWritable",
     "DataInput",
     "DataInputBuffer",
     "DataOutput",
     "DataOutputBuffer",
-    "DataOutputStream",
     "DoubleWritable",
     "EndOfStream",
     "FloatWritable",
@@ -61,7 +58,6 @@ __all__ = [
     "Text",
     "VIntWritable",
     "VLongWritable",
-    "VectorSink",
     "Writable",
     "WritableRegistry",
     "writable_factory",

@@ -9,7 +9,7 @@ Times" column.
 from __future__ import annotations
 
 import struct
-from typing import Optional, Protocol, Union
+from typing import Union
 
 from repro.mem.cost import CostLedger
 
@@ -35,21 +35,15 @@ def _jwrap(value: int, bits: int) -> int:
     return masked - (1 << bits) if masked >= 1 << (bits - 1) else masked
 
 
-class Sink(Protocol):
-    """Anything raw bytes can be pushed into."""
-
-    def write_bytes(self, data: bytes) -> None: ...
-
-    def flush(self) -> None: ...
-
-
 class DataOutput:
-    """Java ``DataOutput`` primitives over an abstract raw ``write``.
+    """Java ``DataOutput``'s shared encoders over an abstract raw ``write``.
 
-    Subclasses implement :meth:`write` (raw bytes) and inherit the
-    primitive encoders.  Every primitive charges one Writable write op
-    to the ledger; bulk byte copies are charged by :meth:`write`
-    implementations.
+    Subclasses implement :meth:`write` (raw bytes) and the fixed-width
+    primitives (``write_int`` and the rest, which
+    :class:`DataOutputBuffer` packs straight into its backing array);
+    the encoders here build on both.  Every primitive charges one
+    Writable write op to the ledger; bulk byte copies are charged by
+    :meth:`write` implementations.
     """
 
     ledger: CostLedger
@@ -57,41 +51,6 @@ class DataOutput:
     # -- raw ------------------------------------------------------------
     def write(self, data: Union[bytes, bytearray, memoryview]) -> None:
         raise NotImplementedError
-
-    def flush(self) -> None:
-        """Push buffered data toward the final sink (default: no-op)."""
-
-    # -- primitives -------------------------------------------------------
-    def write_byte(self, value: int) -> None:
-        self.ledger.charge_write_op(1)
-        self.write(_BYTES[(value + 256) % 256])
-
-    def write_boolean(self, value: bool) -> None:
-        self.ledger.charge_write_op(1)
-        self.write(b"\x01" if value else b"\x00")
-
-    def write_short(self, value: int) -> None:
-        """Java ``writeShort``: the low 16 bits of ``value``."""
-        self.ledger.charge_write_op(2)
-        self.write(_SHORT.pack(_jwrap(value, 16)))
-
-    def write_int(self, value: int) -> None:
-        """Java ``writeInt``: the low 32 bits of ``value``."""
-        self.ledger.charge_write_op(4)
-        self.write(_INT.pack(_jwrap(value, 32)))
-
-    def write_long(self, value: int) -> None:
-        """Java ``writeLong``: the low 64 bits of ``value``."""
-        self.ledger.charge_write_op(8)
-        self.write(_LONG.pack(_jwrap(value, 64)))
-
-    def write_float(self, value: float) -> None:
-        self.ledger.charge_write_op(4)
-        self.write(_FLOAT.pack(value))
-
-    def write_double(self, value: float) -> None:
-        self.ledger.charge_write_op(8)
-        self.write(_DOUBLE.pack(value))
 
     def write_bytes_raw(self, data: bytes) -> None:
         """Bulk byte write counted as a single op (BytesWritable body)."""
@@ -183,11 +142,11 @@ class DataOutputBuffer(DataOutput):
         self.adjustments += 1
         self.ledger.charge_adjustment()
 
-    # -- zero-copy primitive fast paths ---------------------------------------
-    # Each override packs directly into the backing bytearray instead of
-    # materializing a per-primitive bytes object.  Ledger charges mirror
-    # the generic path exactly (write-op, growth charges if any, then the
-    # data copy) — the ledger models the Java behaviour, not ours.
+    # -- zero-copy fixed-width primitives -------------------------------------
+    # Each packs directly into the backing bytearray instead of
+    # materializing a per-primitive bytes object.  Ledger charges follow
+    # Java's order (write-op, growth charges if any, then the data copy)
+    # — the ledger models the Java behaviour, not ours.
 
     def write_byte(self, value: int) -> None:
         self.ledger.charge_write_op(1)
@@ -283,20 +242,3 @@ class DataOutputBuffer(DataOutput):
         """Rewind for reuse (keeps the grown capacity, like Java)."""
         self.count = 0
 
-
-class DataOutputStream(DataOutput):
-    """Primitive encoder over a raw sink (Listing 1's sending side)."""
-
-    def __init__(self, sink: Sink, ledger: CostLedger):
-        self.sink = sink
-        self.ledger = ledger
-        self.written = 0
-
-    def write(self, data: Union[bytes, bytearray, memoryview]) -> None:
-        # Forward the chunk unchanged (bytes, bytearray, or memoryview):
-        # coercing through bytes() here copied every chunk once more.
-        self.sink.write_bytes(data)
-        self.written += len(data)
-
-    def flush(self) -> None:
-        self.sink.flush()

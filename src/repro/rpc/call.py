@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import enum
 import re
+import struct
 from typing import List, Optional
 
-from repro.io.buffered import BufferedOutputStream, VectorSink
 from repro.io.data_input import DataInput
-from repro.io.data_output import DataOutput, DataOutputStream
+from repro.io.data_output import DataOutput
 from repro.mem.cost import CostLedger
 from repro.io.writable import ObjectWritable, Writable, writable_factory
 
@@ -116,22 +116,50 @@ PING_CALL_ID = -1
 BATCH_CALL_ID = -2
 
 
-def frame_chunks(message, ledger: CostLedger) -> list:
-    """Length-prefix a serialized ``message`` view for a socket stream,
-    through the buffered stream path (Listing 1 lines 10-13), charging
-    its copies.
+#: Listing 1 line 10's ``BufferedOutputStream`` heap buffer (Java's
+#: default size).  A shorter write is copied into it; a longer one
+#: bypasses it.
+LISTING1_BUFFER_BYTES = 8192
 
-    Returns the frame as a list of chunks (gather write): the message
-    travels as a zero-copy view and the transport materializes the wire
-    image exactly once.
+_INT = struct.Struct(">i")
+
+
+def stream_frame(ledger: CostLedger, header, payloads) -> list:
+    """Write a socket frame through Listing 1's stream, as charges.
+
+    Lines 10-13, ``new DataOutputStream(new BufferedOutputStream(
+    socketStream))``: the ``header`` ints, then each payload behind its
+    4-byte length.  The wrapper only costs, so its costs are charged in
+    the order Java incurs them: one heap buffer per frame, a write op
+    and a 4-byte copy per ``writeInt``, and one copy of each payload
+    shorter than the buffer.  Where the buffer fills or flushes costs
+    nothing.
+
+    Returns the frame as a list of chunks (gather write), each int as
+    its own 4 bytes and each payload as the caller's view: the
+    transport materializes the wire image exactly once.
     """
-    sink = VectorSink()
-    buffered = BufferedOutputStream(sink, ledger)
-    out = DataOutputStream(buffered, ledger)
-    out.write_int(len(message))
-    buffered.write_bytes(message)
-    out.flush()
-    return sink.chunks
+    ledger.charge_heap_alloc(LISTING1_BUFFER_BYTES)
+    chunks = []
+    for value in header:
+        ledger.charge_write_op(4)
+        ledger.charge_copy(4)
+        chunks.append(_INT.pack(value))
+    for payload in payloads:
+        length = len(payload)
+        ledger.charge_write_op(4)
+        ledger.charge_copy(4)
+        if length < LISTING1_BUFFER_BYTES:
+            ledger.charge_copy(length)
+        chunks.append(_INT.pack(length))
+        chunks.append(payload)
+    return chunks
+
+
+def frame_chunks(message, ledger: CostLedger) -> list:
+    """Length-prefix one serialized ``message`` view for a socket stream
+    (:func:`stream_frame` with no header)."""
+    return stream_frame(ledger, (), (message,))
 
 
 @writable_factory

@@ -11,7 +11,7 @@ Every call takes one path through its :class:`BaseConnection`:
    :mod:`repro.rpc.mux` queues it for the connection's shared sender,
    which flushes the queue as one batch frame;
 3. **transport** — :class:`SocketConnection` length-prefixes frames
-   through the buffered stream path and reads responses into per-frame
+   through Listing 1's buffered stream and reads responses into per-frame
    heap buffers (Listing 2's client analogue); :class:`IBConnection`
    bootstraps an endpoint over the socket address, then posts verbs
    sends, eager or RDMA past the adaptive threshold.
@@ -41,9 +41,8 @@ from typing import Dict, List, Optional, Set, Tuple, Type
 
 from repro.calibration import CostModel, NetworkSpec
 from repro.config import Configuration
-from repro.io.buffered import BufferedOutputStream, VectorSink
 from repro.io.data_input import DataInputBuffer
-from repro.io.data_output import DataOutputBuffer, DataOutputStream
+from repro.io.data_output import DataOutputBuffer
 from repro.io.rdma_streams import RDMAOutputStream
 from repro.io.writable import ObjectWritable, Writable
 from repro.mem.cost import CostLedger
@@ -74,6 +73,7 @@ from repro.rpc.call import (
     ServerOverloadedException,
     StandbyException,
     frame_chunks,
+    stream_frame,
 )
 from repro.rpc.metrics import RpcMetrics
 from repro.rpc.protocol import RpcProtocol
@@ -766,8 +766,8 @@ class BaseConnection:
 class SocketConnection(BaseConnection):
     """Default engine: Writable serialization over a socket stream."""
 
-    #: a byte stream: every message is length-prefixed through the
-    #: buffered stream path before the write.
+    #: a byte stream: every message is length-prefixed through
+    #: Listing 1's buffered stream before the write.
     STREAM = True
 
     def __init__(self, client, address, protocol):
@@ -807,23 +807,19 @@ class SocketConnection(BaseConnection):
         return self.sock.send(frame, trace=ref), (("frame_bytes", 4 + message_bytes),)
 
     def _send_batch(self, batch):
-        """Frame a window of encoded calls into one flush through the
-        vectored path (run by the window policy's sender)."""
+        """Frame a window of encoded calls into one flush through
+        Listing 1's stream (run by the window policy's sender)."""
         ledger = CostLedger(self.model)
-        sink = VectorSink()
-        buffered = BufferedOutputStream(sink, ledger)
-        out = DataOutputStream(buffered, ledger)
-        out.write_int(8 + sum(4 + length for _, _, length, _ in batch))
-        out.write_int(BATCH_CALL_ID)
-        out.write_int(len(batch))
-        for _, payload, length, _ in batch:
-            out.write_int(length)
-            buffered.write_bytes(payload)
-        out.flush()
+        header = (
+            8 + sum(4 + length for _, _, length, _ in batch),
+            BATCH_CALL_ID,
+            len(batch),
+        )
+        frame = stream_frame(ledger, header, [entry[1] for entry in batch])
         yield self.env.timeout(ledger.drain())
         self._absorb(ledger)
         refs = self._stamp_batch(batch, self.client.fabric.tracer)
-        yield self.sock.send(sink.chunks, trace=refs)
+        yield self.sock.send(frame, trace=refs)
 
     def _send_ping(self):
         """Hadoop ``Client.sendPing``: a PING_CALL_ID frame, liveness only."""

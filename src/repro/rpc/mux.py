@@ -223,8 +223,8 @@ class ConnectionMux:
 
 
 class MuxSocketConnection(ConnectionMux, SocketConnection):
-    """Sockets engine under the window policy: batch frames through the
-    vectored path, bulk reads on receive."""
+    """Sockets engine under the window policy: batch frames through
+    Listing 1's stream, bulk reads on receive."""
 
 
 class MuxIBConnection(ConnectionMux, IBConnection):

@@ -5,7 +5,7 @@ import struct
 import pytest
 
 from repro.calibration import CostModel
-from repro.io import BufferedOutputStream, BytesSink, DataOutputBuffer, DataOutputStream
+from repro.io import DataOutputBuffer
 from repro.mem import CostLedger
 from repro.rpc.call import frame_chunks
 
@@ -184,36 +184,7 @@ def test_reset_keeps_capacity(buf):
     assert buf.adjustments == 1  # no new adjustment after reset
 
 
-# --------------------------------------------------------- stream + buffered
-def test_data_output_stream_writes_through(ledger):
-    sink = BytesSink()
-    out = DataOutputStream(sink, ledger)
-    out.write_int(258)
-    out.flush()
-    assert sink.getvalue() == b"\x00\x00\x01\x02"
-    assert out.written == 4
-
-
-def test_buffered_stream_batches_small_writes(ledger):
-    sink = BytesSink()
-    buffered = BufferedOutputStream(sink, ledger, buffer_size=16)
-    buffered.write_bytes(b"aaaa")
-    buffered.write_bytes(b"bbbb")
-    assert sink.chunks == []  # still buffered
-    buffered.flush()
-    assert sink.getvalue() == b"aaaabbbb"
-
-
-def test_buffered_stream_flushes_when_full(ledger):
-    sink = BytesSink()
-    buffered = BufferedOutputStream(sink, ledger, buffer_size=8)
-    buffered.write_bytes(b"aaaa")
-    buffered.write_bytes(b"bbbbb")  # 4+5 > 8: flush first
-    assert sink.chunks == [b"aaaa"]
-    buffered.flush()
-    assert sink.getvalue() == b"aaaabbbbb"
-
-
+# ------------------------------------------- Listing 1 framing (rpc.call)
 def test_buffered_stream_writes_large_directly(ledger):
     """A message at least as long as Listing 1's 8 KB stream buffer is
     written straight through: only the length prefix is copied."""
@@ -230,7 +201,3 @@ def test_buffered_stream_charges_buffer_alloc(ledger):
         assert ledger.counts.allocations == frames
         assert ledger.counts.alloc_bytes == frames * 8192
 
-
-def test_buffered_stream_size_validated(ledger):
-    with pytest.raises(ValueError):
-        BufferedOutputStream(BytesSink(), ledger, buffer_size=0)

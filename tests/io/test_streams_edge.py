@@ -5,8 +5,6 @@ import pytest
 from repro.calibration import CostModel
 from repro.io import (
     ArrayWritable,
-    BufferedOutputStream,
-    BytesSink,
     BytesWritable,
     DataInputBuffer,
     DataOutputBuffer,
@@ -75,17 +73,6 @@ def test_exact_capacity_write_does_not_adjust(ledger):
     assert buf.adjustments == 0
     buf.write(b"9")
     assert buf.adjustments == 1
-
-
-def test_buffered_stream_exact_fill_then_flush(ledger):
-    sink = BytesSink()
-    stream = BufferedOutputStream(sink, ledger, buffer_size=4)
-    stream.write_bytes(b"abcd")  # buffer-sized: written straight through
-    assert sink.chunks == [b"abcd"]
-    stream.write_bytes(b"ef")  # smaller: buffered
-    assert sink.chunks == [b"abcd"]
-    stream.flush()
-    assert sink.getvalue() == b"abcdef"
 
 
 def test_rdma_stream_write_spanning_multiple_growths(ledger):

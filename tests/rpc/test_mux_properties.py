@@ -182,9 +182,9 @@ def test_batch_frame_is_concatenation_of_call_frames(payloads):
 def test_real_encoder_matches_the_canonical_batch_bytes(nc, ib):
     """The sender's actual framing produces byte-identical output to the
     pure ``batch_frame_chunks`` helper fed the same encoded call
-    payloads: the socket flush (DataOutputStream/VectorSink) carries the
-    whole image, the aggregated RPCoIB post the image after its 4-byte
-    total (a verbs completion delimits itself)."""
+    payloads: the socket flush carries the whole image, the aggregated
+    RPCoIB post the image after its 4-byte total (a verbs completion
+    delimits itself)."""
     harness = _mux_harness(ib=ib, window=max(2, nc))
     env = harness.env
     captured = []
