@@ -96,6 +96,19 @@ MUX_CONNECTION_KEY = "__mux__"
 _IB_AGGREGATION_INITIAL = 4096
 
 
+def retry_policy(conf: Configuration, key: str) -> str:
+    """The backoff policy ``key`` sets: ``fixed`` or ``exponential``,
+    in any case and spacing.  Any other value is an error, not a
+    silently fixed backoff."""
+    raw = conf.get(key)
+    policy = str(raw).strip().lower()
+    if policy not in ("fixed", "exponential"):
+        raise ValueError(
+            f"unknown {key} {raw!r}: expected fixed or exponential"
+        )
+    return policy
+
+
 def _backoff_us(interval_us: float, attempt: int, policy: str) -> float:
     """Delay before retry ``attempt`` (1-based) under a backoff policy."""
     if policy == "exponential":
@@ -369,7 +382,7 @@ class Client:
         conf = self.conf
         max_retries = conf.get_int("ipc.client.connect.max.retries")
         interval_us = conf.get_float("ipc.client.connect.retry.interval")
-        policy = str(conf.get("ipc.client.connect.retry.policy", "fixed"))
+        policy = retry_policy(conf, "ipc.client.connect.retry.policy")
         if self._call_conf()[4]:
             # Imported lazily: repro.rpc.mux mixes its window policy into
             # the connection classes below, so a module-level import

@@ -37,7 +37,7 @@ from repro.rpc.call import (
     RetriesExhaustedError,
     StandbyException,
 )
-from repro.rpc.client import Client
+from repro.rpc.client import Client, retry_policy
 from repro.rpc.protocol import RpcProtocol
 from repro.simcore.rng import Random, named_stream
 
@@ -66,7 +66,7 @@ class FailoverProxy:
             conf.get_int("ipc.client.failover.max.attempts"),
             conf.get_float("ipc.client.failover.sleep.base"),
             conf.get_float("ipc.client.failover.sleep.max"),
-            str(conf.get("ipc.client.failover.retry.policy")),
+            retry_policy(conf, "ipc.client.failover.retry.policy"),
             conf.get_float("ipc.client.failover.jitter"),
         ))
         self._failover_counter = None

@@ -57,16 +57,12 @@ def test_connect_retries_exhaust_against_a_dead_server():
         assert isinstance(exc.cause, ConnectionError)
 
 
-@pytest.mark.parametrize(
-    "policy, expected_backoff_us",
-    [
-        ("fixed", 3 * 100_000.0),
-        ("exponential", (1 + 2 + 4) * 100_000.0),
-    ],
-)
-def test_connect_backoff_policies(policy, expected_backoff_us):
-    # A stashed listener refuses instantly, so the elapsed time of an
-    # exhausted connect is exactly the sum of the backoff sleeps.
+def _exhausted_connect_us(policy):
+    """How long a connect with 3 retries 100 ms apart takes to give up.
+
+    A stashed listener refuses instantly, so the elapsed time of an
+    exhausted connect is exactly the sum of the backoff sleeps.
+    """
     with faulted_harness(
         {"kind": "node_crash", "at": 0, "node": "server"},
         conf={
@@ -83,7 +79,25 @@ def test_connect_backoff_policies(policy, expected_backoff_us):
             except RetriesExhaustedError:
                 return env.now - start
 
-        assert h.run(caller) == pytest.approx(expected_backoff_us)
+        return h.run(caller)
+
+
+@pytest.mark.parametrize(
+    "policy, expected_backoff_us",
+    [
+        ("fixed", 3 * 100_000.0),
+        ("exponential", (1 + 2 + 4) * 100_000.0),
+        (" Exponential ", (1 + 2 + 4) * 100_000.0),
+    ],
+)
+def test_connect_backoff_policies(policy, expected_backoff_us):
+    assert _exhausted_connect_us(policy) == pytest.approx(expected_backoff_us)
+
+
+def test_unknown_connect_retry_policy_is_rejected():
+    """Any value but fixed or exponential used to mean fixed."""
+    with pytest.raises(ValueError, match="ipc.client.connect.retry.policy"):
+        _exhausted_connect_us("expo")
 
 
 # The keeper's semantics do not depend on the dispatch policy: a

@@ -141,3 +141,17 @@ def test_fixed_policy_uses_base_delay():
     base = harness.conf.get_float("ipc.client.failover.sleep.base")
     # one standby bounce + one fixed backoff + two served round-trips.
     assert elapsed >= base
+
+
+def test_unknown_failover_retry_policy_is_rejected():
+    """Any value but fixed or exponential used to mean fixed."""
+    harness = HaHarness(
+        controller=False,
+        conf_overrides={"ipc.client.failover.retry.policy": "Expo"},
+    )
+    proxy = harness.proxy()
+    with pytest.raises(ValueError, match="ipc.client.failover.retry.policy"):
+        _call(harness, proxy)
+    # case and spacing do not matter for a known policy
+    harness.conf.set("ipc.client.failover.retry.policy", " FIXED")
+    assert len(_call(harness, proxy)) == 1
