@@ -138,3 +138,18 @@ def test_experiment_steps_parse_and_their_fault_plans_load(jobs):
             plans += 1
     assert parsed, "no step runs python -m repro.experiments"
     assert plans, "no experiment step arms a --faults plan"
+
+
+def test_benchmark_job_profiles_the_socket_workloads(jobs):
+    """The traced incast and ycsb pass is the only CI step that holds
+    the socket send path to the benchmark's own-share bound (0.02 of
+    profiled host time)."""
+    traced = set()
+    for step in jobs["benchmark"]["steps"]:
+        argv = shlex.split(str(step.get("run", "")))
+        if "benchmarks/suite/run.py" not in argv:
+            continue
+        pairs = set(zip(argv, argv[1:]))
+        if ("--trace", "1") in pairs:
+            traced.update(value for flag, value in pairs if flag == "--workload")
+    assert {"incast", "ycsb"} <= traced
