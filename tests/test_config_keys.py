@@ -22,6 +22,8 @@ import re
 from pathlib import Path
 
 from repro.config import Configuration
+from repro.lint.astutil import dotted_name
+from repro.lint.dataflow import _conf_receiver
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,14 +33,9 @@ GETTERS = {"get", "get_int", "get_float", "get_bool", "get_ints", "get_floats"}
 
 
 def _is_conf(node) -> bool:
-    """A receiver named like a configuration: ``conf``, ``self.conf``."""
-    if isinstance(node, ast.Attribute):
-        name = node.attr
-    elif isinstance(node, ast.Name):
-        name = node.id
-    else:
-        return False
-    return name.lower().endswith(("conf", "configuration"))
+    """A receiver named like a configuration (``conf``, ``self.conf``),
+    as lint rule SIM010 recognizes one."""
+    return _conf_receiver(dotted_name(node))
 
 
 def _module_name(path: Path) -> str:
