@@ -124,7 +124,7 @@ LISTING1_BUFFER_BYTES = 8192
 _INT = struct.Struct(">i")
 
 
-def stream_frame(ledger: CostLedger, header, payloads) -> list:
+def stream_frame(header, payloads, ledger: CostLedger) -> list:
     """Write a socket frame through Listing 1's stream, as charges.
 
     Lines 10-13, ``new DataOutputStream(new BufferedOutputStream(
@@ -159,7 +159,7 @@ def stream_frame(ledger: CostLedger, header, payloads) -> list:
 def frame_chunks(message, ledger: CostLedger) -> list:
     """Length-prefix one serialized ``message`` view for a socket stream
     (:func:`stream_frame` with no header)."""
-    return stream_frame(ledger, (), (message,))
+    return stream_frame((), (message,), ledger)
 
 
 @writable_factory

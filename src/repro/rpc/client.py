@@ -828,7 +828,7 @@ class SocketConnection(BaseConnection):
             BATCH_CALL_ID,
             len(batch),
         )
-        frame = stream_frame(ledger, header, [entry[1] for entry in batch])
+        frame = stream_frame(header, [entry[1] for entry in batch], ledger)
         yield self.env.timeout(ledger.drain())
         self._absorb(ledger)
         refs = self._stamp_batch(batch, self.client.fabric.tracer)
