@@ -11,9 +11,9 @@ as a string in ``src/`` and ``examples/``:
   ``"set"``, including module-level dicts reached by name, by import,
   through ``dict(...)``, ``**`` unpacking or a subscript of a dict of
   dicts;
-* the first argument of ``.set`` and of ``.get``/``.get_int``/... on a
-  receiver named like a configuration (``conf``, ``self.conf``,
-  ``probe_conf``), and a key handed to a helper along with one;
+* every dotted string handed to a call on a receiver named like a
+  configuration (``conf.get_int("key")``, ``self.conf.set("key", v)``)
+  or handed along with one (``retry_policy(conf, "key")``);
 * ``conf["key"]`` subscripts on such a receiver.
 """
 
@@ -29,7 +29,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: what a dotted configuration key looks like (``dfs.replication.min``).
 KEY = re.compile(r"[a-z][a-z0-9_-]*(\.[a-zA-Z0-9_-]+)+")
-GETTERS = {"get", "get_int", "get_float", "get_bool", "get_ints", "get_floats"}
 
 
 def _is_conf(node) -> bool:
@@ -123,31 +122,19 @@ class KeyScan:
         if not isinstance(node, ast.Call):
             return
         func = node.func
-        if isinstance(func, ast.Attribute):
-            name = func.attr
-        else:
-            name = getattr(func, "id", "")
-        first = node.args[0] if node.args else None
-        literal = (
-            first.value if isinstance(first, ast.Constant)
-            and isinstance(first.value, str) else None
-        )
-        if first is not None and (
-            name == "Configuration"
-            or name == "update" and _is_conf(getattr(func, "value", None))
+        receiver = getattr(func, "value", None)
+        name = getattr(func, "attr", getattr(func, "id", ""))
+        if node.args and (
+            name == "Configuration" or name == "update" and _is_conf(receiver)
         ):
-            found.extend(self._dict_keys(module, first))
-        if name == "set" and literal and KEY.fullmatch(literal):
-            found.append((module, node.lineno, literal))
-        if name in GETTERS and literal and _is_conf(getattr(func, "value", None)):
-            found.append((module, node.lineno, literal))
-        if any(_is_conf(arg) for arg in node.args):  # helper(conf, "key")
-            for arg in node.args:
-                if (
-                    isinstance(arg, ast.Constant) and isinstance(arg.value, str)
-                    and KEY.fullmatch(arg.value)
-                ):
-                    found.append((module, node.lineno, arg.value))
+            found.extend(self._dict_keys(module, node.args[0]))
+        if _is_conf(receiver) or any(_is_conf(arg) for arg in node.args):
+            # conf.get_int("key"), conf.set("key", value), helper(conf, "key")
+            found.extend(
+                (module, node.lineno, arg.value) for arg in node.args
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                and KEY.fullmatch(arg.value)
+            )
         for keyword in node.keywords:
             if keyword.arg == "conf_overrides":
                 found.extend(self._dict_keys(module, keyword.value))
