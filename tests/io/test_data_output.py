@@ -1,4 +1,5 @@
-"""Unit tests for DataOutput/DataOutputBuffer (the paper's Algorithm 1)."""
+"""Unit tests for DataOutputBuffer (the paper's Algorithm 1) and the socket
+framing charges of Listing 1's buffered stream."""
 
 import struct
 
